@@ -18,6 +18,7 @@ pruning loop wants.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .graph import VertexSet, WeightedGraph
 
@@ -68,20 +69,22 @@ def coloring_scores(g: WeightedGraph, coloring) -> dict:
     for cls in coloring:
         for v in cls:
             row = g.weight_rows[v]
-            s = g.vertex_weights[v]
-            for prev in earlier:
-                m = adj[v] & prev
-                top = 0
-                while m:
-                    b = m & -m
-                    w = row[b.bit_length() - 1]
-                    if w > top:
-                        top = w
-                    m ^= b
-                s += top
-            scores[v] = s
+            scores[v] = g.vertex_weights[v] + sum(
+                _heaviest_edge(row, adj[v] & prev) for prev in earlier)
         earlier.append(cls.mask)
     return scores
+
+
+def _heaviest_edge(row, linked: int) -> int:
+    """max(row[u]) over the vertices u in bitmask `linked`, 0 if none."""
+    top = 0
+    while linked:
+        b = linked & -linked
+        w = row[b.bit_length() - 1]
+        if w > top:
+            top = w
+        linked ^= b
+    return top
 
 
 def vertex_weighted_upper_bound(g: WeightedGraph, coloring) -> int:
@@ -116,11 +119,17 @@ class SeqAndBounds:
     score: dict
 
 
+# Above this many members a class is scanned from each leftover's few
+# edges into it instead of over all members: a class that large comes
+# from a sparse graph, where a leftover links to one or two members.
+_SCAN_MAX_CLASS = 32
+
+
 class ColoringWorkspace:
     """Reusable scratch state for the per-node bound computation.
 
-    The search calls :meth:`run` once per node, so the score array is
-    recycled between calls instead of reallocated. One workspace serves
+    The search calls :meth:`run` once per node, so the score array and
+    the per-vertex masks are built once, not per call. One workspace serves
     one solver; distinct workspaces over the same graph may run
     concurrently.
     """
@@ -128,6 +137,9 @@ class ColoringWorkspace:
     def __init__(self, graph: WeightedGraph):
         self.graph = graph
         self._score = [0] * graph.n
+        self._bit = [1 << v for v in range(graph.n)]
+        # picking v shuts v and its neighbors out of the open class
+        self._shut = [~(a | 1 << v) for v, a in enumerate(graph.adj_bits)]
 
     def run(self, s_mask: int, join_w):
         """Greedy coloring pass over the candidate set `s_mask`.
@@ -139,62 +151,75 @@ class ColoringWorkspace:
 
         Classes are built maximal. Within one class vertices are taken
         in increasing score, ties to the lowest index; scores are
-        frozen while a class is being built, so one sort per class
-        fixes the pick order. A vertex's bound is fixed the moment it
-        is colored: its score plus the running sum of closed-class
-        maxima. After a class closes, every still-uncolored vertex
-        adjacent to it absorbs its heaviest edge into that class.
+        frozen while a class is being built. A vertex's bound is fixed
+        the moment it is colored: its score plus the running sum of
+        closed-class maxima. After a class closes, each leftover (all
+        adjacent to it, by maximality) absorbs its heaviest edge into
+        that class and only the leftovers, nearly sorted, are re-sorted.
+
+        Invariants this relies on: a candidate is the int key
+        ``score << sh | v`` with ``sh = n.bit_length()``, so keys order
+        exactly like ``(score, v)``; and ``weight_rows`` is dense with 0
+        for non-edges and all weights >= 0, so the heaviest edge into a
+        class of up to _SCAN_MAX_CLASS members is the plain max of
+        ``rows[v][u]`` over them, with no adjacency test. Weight storage
+        that scales with m (ROADMAP item 5) must keep an O(1)
+        ``rows[v][u]`` lookup or change this scan.
         """
-        graph = self.graph
-        adj = graph.adj_bits
-        rows = graph.weight_rows
+        adj = self.graph.adj_bits
+        rows = self.graph.weight_rows
         score = self._score
-        members = []
+        bit = self._bit
+        shut = self._shut
+        sh = self.graph.n.bit_length()
+        low = (1 << sh) - 1
+        keys = []
         m = s_mask
         while m:
             b = m & -m
             v = b.bit_length() - 1
-            members.append(v)
-            score[v] = join_w[v]
+            keys.append(join_w[v] << sh | v)
             m ^= b
+        keys.sort()
         order = []  # colored order; reversed into branch order at the end
         bounds = []
         class_masks = []
         uncolored = s_mask
         closed_sum = 0  # sum over closed classes of their score maximum
-        while uncolored:
-            ranked = sorted((score[v], v) for v in members if (uncolored >> v) & 1)
+        while keys:
             open_set = uncolored  # vertices still admissible to this class
             cls = 0
-            cls_max = 0
-            for sv, v in ranked:
-                if (open_set >> v) & 1:
+            first = len(order)
+            left = []
+            ranked = iter(keys)
+            for k in ranked:
+                v = k & low
+                if open_set & bit[v]:
+                    sv = k >> sh
+                    score[v] = sv
                     order.append(v)
                     bounds.append(sv + closed_sum)
-                    cls |= 1 << v
-                    uncolored ^= 1 << v
-                    open_set &= ~(adj[v] | (1 << v))
-                    cls_max = sv  # picks arrive in nondecreasing score
+                    cls |= bit[v]
+                    open_set &= shut[v]
                     if not open_set:
                         break
-            closed_sum += cls_max
+                else:
+                    left.append(k)
+            left.extend(ranked)  # the rest after the class filled up
+            closed_sum += sv  # picks arrive in nondecreasing score
+            uncolored ^= cls
             class_masks.append(cls)
-            m = uncolored
-            while m:
-                b = m & -m
-                v = b.bit_length() - 1
-                m ^= b
-                linked = adj[v] & cls
-                if linked:
-                    row = rows[v]
-                    top = 0
-                    while linked:
-                        bb = linked & -linked
-                        w = row[bb.bit_length() - 1]
-                        if w > top:
-                            top = w
-                        linked ^= bb
-                    score[v] += top
+            picked = order[first:]
+            if len(picked) == 1:
+                col = rows[picked[0]]
+                keys = [k + (col[k & low] << sh) for k in left]
+            elif len(picked) <= _SCAN_MAX_CLASS:
+                heaviest = itemgetter(*picked)
+                keys = [k + (max(heaviest(rows[k & low])) << sh) for k in left]
+            else:
+                keys = [k + (_heaviest_edge(rows[k & low], adj[k & low] & cls) << sh)
+                        for k in left]
+            keys.sort()
         order.reverse()
         bounds.reverse()
         return order, bounds, class_masks

@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import io as instance_io
@@ -158,16 +159,42 @@ def _read_manifest(path):
     return out
 
 
+def _error_row(path, message):
+    row = {k: "" for k in BENCH_FIELDS}
+    row["instance"] = Path(path).stem
+    row["error"] = message
+    return row
+
+
 def _bench_worker(task):
     path, opts = task
     try:
         row = _run_solve(path, **opts)
         row["error"] = ""
     except Exception as exc:  # keep the harness going, record the failure
-        row = {k: "" for k in BENCH_FIELDS}
-        row["instance"] = Path(path).stem
-        row["error"] = str(exc)
+        row = _error_row(path, str(exc))
     return row
+
+
+def _bench_pool(tasks, jobs):
+    """Bench rows from `jobs` worker processes, in task order. A worker
+    that dies (killed, out of memory) breaks the whole pool; every task
+    left without a result gets an error row instead."""
+    futures = []
+    try:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for task in tasks:
+                futures.append(pool.submit(_bench_worker, task))
+    except BrokenProcessPool:
+        pass  # broke while tasks were still being submitted
+    rows = [_error_row(path, "worker process died before returning a result")
+            for path, _ in tasks]
+    for i, fut in enumerate(futures):
+        try:
+            rows[i] = fut.result()
+        except BrokenProcessPool:
+            pass  # keeps the error row
+    return rows
 
 
 def cmd_bench(args):
@@ -182,8 +209,7 @@ def cmd_bench(args):
                 time_limit=args.time_limit, node_limit=args.node_limit)
     tasks = [(p, opts) for p in paths]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_worker, tasks))  # manifest order kept
+        rows = _bench_pool(tasks, args.jobs)
     else:
         rows = [_bench_worker(t) for t in tasks]
 

@@ -46,6 +46,12 @@ def _content_lines(text):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue
+        # int() would read '1_0' as 10 and an Arabic-Indic two as 2; with
+        # these refused, the int() calls below accept only ASCII digits
+        # with an optional '-'
+        if "_" in raw or "+" in raw or not raw.isascii():
+            raise ParseError("'_', '+' or a non-ASCII character outside a comment",
+                             line_no)
         yield line_no, tokens
 
 

@@ -7,7 +7,7 @@ from mewclique import (ColoringWorkspace, VertexSet, WeightedGraph,
                        coloring_scores, gen_random, seq_and_bounds,
                        vertex_weighted_upper_bound)
 
-from conftest import induced_weighted
+from conftest import induced_weighted, with_zero_weights
 
 SIX_COLORING = [VertexSet([0, 2, 5]), VertexSet([1, 3]), VertexSet([4])]
 SIX_SCORES = {0: 2, 1: 8, 2: 3, 3: 12, 4: 21, 5: 3}
@@ -147,6 +147,17 @@ class TestPlanProperties:
             s_mask = rng.randrange(1, 1 << n)
             join = [rng.randint(0, 12) for _ in range(n)]
             yield g, s_mask, join
+        # then weight-0 edges, one dense graph (density 0.956) whole, and
+        # three sparse ones whose biggest classes (up to ~50 members) are
+        # scanned edge by edge instead of member by member
+        for i in range(count // 5):
+            n = 3 + i % (max_n - 2)
+            g = with_zero_weights(gen_random(n, rng.choice([0.5, 0.8]), 1, 10, seed=i))
+            yield g, rng.randrange(1, 1 << n), [rng.randint(0, 12) for _ in range(n)]
+        for n, density, g_seed in [(14, 0.95, 0), (100, 0.03, 0), (100, 0.03, 1),
+                                   (100, 0.03, 2)]:
+            yield (gen_random(n, density, 1, 10, seed=g_seed), (1 << n) - 1,
+                   [rng.randint(0, 12) for _ in range(n)])
 
     def test_structural_invariants(self):
         for g, s_mask, join in self._random_subproblems(300, 16, seed=3):
@@ -202,4 +213,5 @@ class TestPlanProperties:
         for g, s_mask, join in self._random_subproblems(100, 14, seed=6):
             plan = seq_and_bounds(g, VertexSet.from_mask(s_mask), join)
             sub = induced_weighted(g, s_mask, join)
-            assert brute_force_vertex_edge_mewc(sub) <= plan.upper[plan.order[0]]
+            best = brute_force_vertex_edge_mewc(sub, n_limit=100)  # sparse at 100
+            assert best <= plan.upper[plan.order[0]]

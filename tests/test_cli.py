@@ -1,9 +1,12 @@
 import csv
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from mewclique import solve, write_weighted_edge_list
+from mewclique import cli
 from mewclique.cli import BENCH_FIELDS, REPORT_FIELDS, main
 
 from conftest import SIX_EDGES
@@ -196,6 +199,24 @@ class TestBench:
             ["inst0", "gone", "inst1", "TOTAL"]
         assert rows[1]["error"] != ""
         assert rows[0]["error"] == "" and rows[0]["best_weight"] != ""
+
+    def test_worker_death_becomes_error_row(self, tmp_path, capsys, monkeypatch):
+        # a worker killed mid-solve breaks the pool; the rows it took
+        # with it are recorded as errors and the table is still written
+        paths = self._make_instances(tmp_path, count=2)
+        real_run_solve = cli._run_solve
+
+        def die_on_inst1(path, **opts):
+            if Path(path).stem == "inst1":
+                os._exit(1)
+            return real_run_solve(path, **opts)
+
+        monkeypatch.setattr(cli, "_run_solve", die_on_inst1)  # forked workers inherit it
+        capsys.readouterr()  # drop the gen chatter
+        assert main(["bench", *map(str, paths), "--no-pls", "--jobs", "2"]) == 1
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [r["instance"] for r in rows] == ["inst0", "inst1", "TOTAL"]
+        assert "worker process died" in rows[1]["error"]
 
     def test_limit_exit_code(self, data_dir, tmp_path):
         out = tmp_path / "r.csv"

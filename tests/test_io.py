@@ -44,6 +44,9 @@ class TestParseDimacs:
         ("p edge 2 1\ne 1 3", 2),             # out of range
         ("p edge 2 1\ne 1", 2),               # short edge line
         ("p edge 2 1\nq 1 2", 2),             # unknown line type
+        ("p edge 11 1\ne 1_0 2", 2),          # underscore digit grouping
+        ("p edge 2 1\ne \u0662 1", 2),        # non-ASCII (Arabic-Indic) digit
+        ("p edge \u0662 0", 1),                # non-ASCII digit in the header
     ])
     def test_errors_carry_line_numbers(self, text, line):
         with pytest.raises(ParseError) as exc:
@@ -104,6 +107,8 @@ class TestWeightedEdgeList:
         "p wedge 2 1\ne 1 1 1",      # self-loop
         "p wedge 2 2\ne 1 2 1\ne 2 1 5",  # duplicate edge
         "p edge 2 1\ne 1 2 1",       # wrong header tag
+        "p wedge 11 1\ne 1_0 2 1",   # underscore digit grouping
+        "p wedge 2 1\ne 1 2 \u0662",  # non-ASCII (Arabic-Indic) digit
     ])
     def test_errors(self, text):
         with pytest.raises(ParseError):

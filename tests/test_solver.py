@@ -6,7 +6,7 @@ from mewclique import (PlsConfig, SolverConfig, VertexSet, WeightedGraph,
                        brute_force_mewc, gen_random, is_clique, pls,
                        set_weight, solve)
 
-from conftest import count_cliques
+from conftest import count_cliques, with_zero_weights
 
 TWO_TRIANGLES = [(0, 1, 2), (0, 2, 2), (1, 2, 2),
                  (3, 4, 2), (3, 5, 2), (4, 5, 2)]
@@ -214,8 +214,12 @@ def _reference_solve(g):
 def test_matches_reference_implementation_node_for_node(g6):
     # deterministic tie-breaks make the node count a trace fingerprint:
     # any divergence in order, pruning or state maintenance shows up
-    for g in [g6] + [gen_random(8 + s % 7, (s % 3 + 1) * 0.25, 1, 10, seed=s)
-                     for s in range(40)]:
+    graphs = [g6] + [gen_random(8 + s % 7, (s % 3 + 1) * 0.25, 1, 10, seed=s)
+                     for s in range(40)]
+    graphs += [with_zero_weights(g) for g in graphs[1:11]]
+    graphs.append(gen_random(14, 0.95, 1, 10, seed=0))  # density 0.956
+    graphs.append(gen_random(100, 0.03, 1, 10, seed=0))  # root classes up to 49
+    for g in graphs:
         res = solve(g)
         ref_weight, ref_iterations = _reference_solve(g)
         assert res.best_weight == ref_weight
