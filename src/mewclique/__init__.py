@@ -12,8 +12,8 @@ from .bounds import (ColoringWorkspace, SeqAndBounds, clique_join_weight,
                      vertex_weighted_upper_bound)
 from .graph import VertexSet, WeightedGraph, is_clique, set_weight
 from .io import (InstanceHeader, ParseError, apply_dimacs_weights, gen_random,
-                 parse_dimacs, parse_weighted_edge_list, read_header,
-                 read_instance, write_weighted_edge_list)
+                 instance_format, parse_dimacs, parse_weighted_edge_list,
+                 read_header, read_instance, write_weighted_edge_list)
 from .oracle import brute_force_mewc, brute_force_vertex_edge_mewc
 from .pls import PlsConfig, pls
 from .solver import SolveResult, SolverConfig, solve
@@ -36,6 +36,7 @@ __all__ = [
     "clique_join_weight",
     "coloring_scores",
     "gen_random",
+    "instance_format",
     "is_clique",
     "parse_dimacs",
     "parse_weighted_edge_list",

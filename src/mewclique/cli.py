@@ -43,47 +43,42 @@ def _load_instance(path, fmt, auto_weight, unit_weights):
         text = path.read_text()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
-    if fmt is None:
-        suffix = path.suffix.lower()
-        if suffix == ".clq":
-            fmt = "dimacs"
-        elif suffix == ".wedge":
-            fmt = "wedge"
-        else:
-            fmt = "dimacs" if instance_io.read_header(text).format == "plain" else "wedge"
-    if fmt == "dimacs":
-        if auto_weight and unit_weights:
-            raise CliError("--dimacs-auto-weight and --unit-weights are mutually exclusive")
-        if not auto_weight and not unit_weights:
-            raise CliError(
-                f"{path.name} is a plain DIMACS instance; "
-                "pick --dimacs-auto-weight or --unit-weights"
-            )
-        g = instance_io.parse_dimacs(text)
-        if auto_weight:
-            g = instance_io.apply_dimacs_weights(g)
-    else:
+    if instance_io.instance_format(path, text, fmt) == "wedge":
         if auto_weight or unit_weights:
             raise CliError("weighting flags only apply to DIMACS instances")
-        g = instance_io.parse_weighted_edge_list(text)
-    return g
+        return instance_io.parse_weighted_edge_list(text)
+    if auto_weight and unit_weights:
+        raise CliError("--dimacs-auto-weight and --unit-weights are mutually exclusive")
+    if not auto_weight and not unit_weights:
+        raise CliError(
+            f"{path.name} is a plain DIMACS instance; "
+            "pick --dimacs-auto-weight or --unit-weights"
+        )
+    g = instance_io.parse_dimacs(text)
+    return instance_io.apply_dimacs_weights(g) if auto_weight else g
 
 
 def _run_solve(path, fmt, auto_weight, unit_weights, no_pls, pls_iters, seed,
                time_limit, node_limit):
-    """Parse, optionally warm-start, solve; returns the report dict."""
+    """Parse, optionally warm-start, solve; returns the report dict.
+    Both configs are validated first, so a bad limit costs no parse or
+    warm start."""
+    solver_cfg = SolverConfig(time_limit=time_limit, node_limit=node_limit)
+    solver_cfg.validate()
+    pls_cfg = None if no_pls else PlsConfig(iterations=pls_iters, seed=seed)
+    if pls_cfg is not None:
+        pls_cfg.validate()
     g = _load_instance(path, fmt, auto_weight, unit_weights)
-    if no_pls:
+    if pls_cfg is None:
         c_init = VertexSet()
         lb = 0
         pls_time = 0.0
     else:
         t0 = time.perf_counter()
-        c_init = pls(g, PlsConfig(iterations=pls_iters, seed=seed))
+        c_init = pls(g, pls_cfg)
         pls_time = time.perf_counter() - t0
         lb = set_weight(g, c_init)
-    result = solve(g, c_init, SolverConfig(time_limit=time_limit,
-                                           node_limit=node_limit))
+    result = solve(g, c_init, solver_cfg)
     return {
         "instance": Path(path).stem,
         "n": g.n,
@@ -258,7 +253,8 @@ def cmd_oracle(args):
 def _add_instance_flags(p):
     p.add_argument("--format", choices=("dimacs", "wedge"),
                    help="override format detection (default: by extension, "
-                        ".clq is DIMACS, .wedge is the weighted edge list)")
+                        ".clq is DIMACS, .wedge is the weighted edge list, "
+                        "anything else by its 'p edge'/'p wedge' header)")
     p.add_argument("--dimacs-auto-weight", action="store_true",
                    help="weight DIMACS edge (i, j) as ((i + j) mod 200) + 1")
     p.add_argument("--unit-weights", action="store_true",

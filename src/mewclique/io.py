@@ -202,25 +202,25 @@ def gen_random(n, density, w_min=1, w_max=10, seed=0) -> WeightedGraph:
     return WeightedGraph(n, edges)
 
 
-def read_instance(path, fmt=None) -> WeightedGraph:
-    """Load an instance file.
+def instance_format(path, text, fmt=None) -> str:
+    """Resolve the format of an instance file: "dimacs" or "wedge".
 
-    fmt None resolves by extension (.clq is DIMACS, .wedge is the
-    weighted edge list) and falls back to the header tag for anything
-    else.
+    An explicit fmt wins; otherwise the extension decides (.clq is
+    DIMACS, .wedge is the weighted edge list), and anything else goes by
+    the header tag of ``text``.
     """
-    path = Path(path)
-    text = path.read_text()
     if fmt is None:
-        suffix = path.suffix.lower()
-        if suffix == ".clq":
-            fmt = "dimacs"
-        elif suffix == ".wedge":
-            fmt = "wedge"
-        else:
-            fmt = "dimacs" if read_header(text).format == "plain" else "wedge"
-    if fmt == "dimacs":
+        fmt = {".clq": "dimacs", ".wedge": "wedge"}.get(Path(path).suffix.lower())
+    if fmt is None:
+        fmt = "dimacs" if read_header(text).format == "plain" else "wedge"
+    if fmt not in ("dimacs", "wedge"):
+        raise ValueError(f"unknown instance format {fmt!r}")
+    return fmt
+
+
+def read_instance(path, fmt=None) -> WeightedGraph:
+    """Load an instance file in the format ``instance_format`` resolves."""
+    text = Path(path).read_text()
+    if instance_format(path, text, fmt) == "dimacs":
         return parse_dimacs(text)
-    if fmt == "wedge":
-        return parse_weighted_edge_list(text)
-    raise ValueError(f"unknown instance format {fmt!r}")
+    return parse_weighted_edge_list(text)

@@ -1,19 +1,23 @@
 """Exact branch-and-bound search for the maximum edge-weight clique.
 
 Each node carries the current clique C and the candidate set S of
-vertices adjacent to all of C. A coloring pass over S (see
-:mod:`mewclique.bounds`) yields a branch order and a per-branch upper
-bound; a branch is explored only if clique weight plus bound strictly
-beats the incumbent. Candidates already branched on at this node are
-excluded from child candidate sets, so every clique is visited at most
-once. Clique weight and per-candidate join weights are maintained
-incrementally on the way down and rolled back on the way up.
+vertices adjacent to all of C. ``expand`` has one branch loop: it asks a
+plan for a branch order over S and a per-branch upper bound, and
+explores a branch only if clique weight plus bound strictly beats the
+incumbent. The solving plan is the coloring pass (see
+:mod:`mewclique.bounds`); enumeration is the ascending plan, which
+branches on S in index order with every bound unbounded. Candidates
+already branched on at this node are excluded from child candidate
+sets, so every clique is visited at most once. Clique weight and
+per-candidate join weights are maintained incrementally on the way down
+and rolled back on the way up.
 
 The search is deterministic: ties in the coloring are broken by vertex
 index and nothing is randomized, so a given instance and configuration
 always reproduce the same incumbent sequence and node count.
 """
 
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -29,9 +33,11 @@ class SolverConfig:
     Limits are wall-clock seconds and node counts; None means
     unlimited. assertion_level "invariants" re-derives all node state
     from scratch at every node; it is meant for tests and is orders of
-    magnitude slower. use_coloring_bound False replaces the bound by
-    plus infinity, turning the search into a plain enumeration of all
-    cliques (a baseline for measuring pruning, not a useful solver).
+    magnitude slower. use_coloring_bound False swaps the coloring plan
+    for the ascending plan: the same branch loop then visits candidates
+    in index order with every bound plus infinity, a plain enumeration
+    of all cliques (a baseline for measuring pruning, not a useful
+    solver).
     """
 
     time_limit: float | None = None
@@ -47,6 +53,17 @@ class SolverConfig:
             raise ValueError("node_limit must be positive when set")
         if self.assertion_level not in ("off", "invariants"):
             raise ValueError(f"unknown assertion_level {self.assertion_level!r}")
+
+
+def _ascending(s_mask, join_w):
+    """Enumeration plan: every candidate in ascending index order, none
+    bounded. Same shape as ``ColoringWorkspace.run``; no classes."""
+    order = []
+    while s_mask:
+        b = s_mask & -s_mask
+        order.append(b.bit_length() - 1)
+        s_mask ^= b
+    return order, [math.inf] * len(order), ()
 
 
 @dataclass
@@ -101,13 +118,12 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
     if sys.getrecursionlimit() < n + 512:
         sys.setrecursionlimit(n + 512)
 
-    plan = ColoringWorkspace(g).run
+    plan = ColoringWorkspace(g).run if cfg.use_coloring_bound else _ascending
     join_w = [0] * n
     members = []
     iterations = 0
     aborted = False
     node_limit = cfg.node_limit
-    bounding = cfg.use_coloring_bound
     checking = cfg.assertion_level == "invariants"
     heaviest_seen = 0  # checking only: largest clique weight constructed
     start = time.perf_counter()
@@ -149,57 +165,29 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
                     mask |= 1 << u
                 best_mask = mask
             return
-        if bounding:
-            order, ubs, _ = plan(s_mask, join_w)
-            remaining = s_mask
-            for p, ub in zip(order, ubs):
-                if weight_c + ub <= best_w:
-                    break  # bounds are non-increasing along the order
-                child = remaining & adj[p]
-                row = rows[p]
-                m = child
-                while m:
-                    b = m & -m
-                    v = b.bit_length() - 1
-                    join_w[v] += row[v]
-                    m ^= b
-                members.append(p)
-                expand(child, weight_c + join_w[p])
-                members.pop()
-                m = child
-                while m:
-                    b = m & -m
-                    v = b.bit_length() - 1
-                    join_w[v] -= row[v]
-                    m ^= b
-                if aborted:
-                    return
-                remaining ^= 1 << p
-        else:
-            remaining = s_mask  # no bound: branch in plain index order
-            while remaining:
-                b = remaining & -remaining
-                p = b.bit_length() - 1
-                remaining ^= b
-                child = remaining & adj[p]
-                row = rows[p]
-                m = child
-                while m:
-                    bb = m & -m
-                    v = bb.bit_length() - 1
-                    join_w[v] += row[v]
-                    m ^= bb
-                members.append(p)
-                expand(child, weight_c + join_w[p])
-                members.pop()
-                m = child
-                while m:
-                    bb = m & -m
-                    v = bb.bit_length() - 1
-                    join_w[v] -= row[v]
-                    m ^= bb
-                if aborted:
-                    return
+        order, ubs, _ = plan(s_mask, join_w)
+        remaining = s_mask
+        for p, ub in zip(order, ubs):
+            if weight_c + ub <= best_w:
+                break  # bounds are non-increasing along the order
+            child = remaining & adj[p]
+            row = rows[p]
+            pushed = []
+            m = child
+            while m:
+                b = m & -m
+                v = b.bit_length() - 1
+                join_w[v] += row[v]
+                pushed.append(v)
+                m ^= b
+            members.append(p)
+            expand(child, weight_c + join_w[p])
+            members.pop()
+            for v in pushed:
+                join_w[v] -= row[v]
+            if aborted:
+                return
+            remaining ^= 1 << p
 
     expand((1 << n) - 1 if n else 0, 0)
     elapsed = time.perf_counter() - start

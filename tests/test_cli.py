@@ -103,18 +103,36 @@ class TestSolve:
         report = json.loads(capsys.readouterr().out)
         assert report["proven_optimal"] is False
 
-    @pytest.mark.parametrize("extra", [
-        [],                                        # plain DIMACS needs a choice
-        ["--dimacs-auto-weight", "--unit-weights"],  # but not both
-    ])
-    def test_dimacs_weighting_flags_required(self, data_dir, extra, capsys):
-        path = data_dir / "johnson8-2-4.clq"
+    @pytest.mark.parametrize("suffix, extra", [
+        (".clq", []),                                        # plain DIMACS needs a choice
+        (".clq", ["--dimacs-auto-weight", "--unit-weights"]),  # but not both
+        (".txt", []),                                        # also when sniffed
+    ], ids=["extra0", "extra1", "txt"])
+    def test_dimacs_weighting_flags_required(self, data_dir, tmp_path, suffix,
+                                             extra, capsys):
+        path = tmp_path / f"johnson8-2-4{suffix}"
+        path.write_text((data_dir / "johnson8-2-4.clq").read_text())
         assert main(["solve", str(path), *extra]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_weight_flags_rejected_for_wedge(self, tiny_wedge, capsys):
-        assert main(["solve", str(tiny_wedge), "--dimacs-auto-weight"]) == 1
+    @pytest.mark.parametrize("suffix", [".wedge", ".txt"])
+    def test_weight_flags_rejected_for_wedge(self, tiny_wedge, suffix, capsys):
+        path = tiny_wedge.rename(tiny_wedge.with_suffix(suffix))
+        assert main(["solve", str(path), "--dimacs-auto-weight"]) == 1
         assert "error:" in capsys.readouterr().err
+        assert main(["solve", str(path), "--no-pls"]) == 0  # needs no flag
+        assert "best_weight: 19" in capsys.readouterr().out
+
+    def test_limits_checked_before_parse_and_warm_start(self, data_dir,
+                                                        monkeypatch, capsys):
+        def no_warm_start(*args, **kwargs):
+            raise AssertionError("PLS ran before the limits were checked")
+
+        monkeypatch.setattr(cli, "pls", no_warm_start)
+        path = data_dir / "johnson8-2-4.clq"
+        assert main(["solve", str(path), "--dimacs-auto-weight",
+                     "--time-limit", "-1"]) == 1
+        assert "time_limit" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.clq")]) == 1

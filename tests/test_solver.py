@@ -119,9 +119,12 @@ class TestEnumerationBaseline:
 
 
 class TestLimits:
-    def test_node_limit(self):
+    @pytest.mark.parametrize("coloring", [True, False],
+                             ids=["coloring", "enumeration"])
+    def test_node_limit(self, coloring):
         g = gen_random(30, 0.6, 1, 10, seed=1)
-        res = solve(g, config=SolverConfig(node_limit=1))
+        res = solve(g, config=SolverConfig(node_limit=1,
+                                           use_coloring_bound=coloring))
         assert not res.proven_optimal
         assert res.iterations == 1
         assert is_clique(g, res.best_clique)
@@ -141,9 +144,12 @@ class TestLimits:
         assert (capped.best_weight, capped.iterations) == \
             (free.best_weight, free.iterations)
 
-    def test_time_limit(self):
+    @pytest.mark.parametrize("coloring", [True, False],
+                             ids=["coloring", "enumeration"])
+    def test_time_limit(self, coloring):
         g = gen_random(60, 0.9, 1, 10, seed=3)
-        res = solve(g, config=SolverConfig(time_limit=0.05))
+        res = solve(g, config=SolverConfig(time_limit=0.05,
+                                           use_coloring_bound=coloring))
         assert not res.proven_optimal
         assert is_clique(g, res.best_clique)
         assert set_weight(g, res.best_clique) == res.best_weight
