@@ -10,6 +10,16 @@ heaviest total edge weight into the other candidates. Penalty counters
 record how often a vertex sat in a stuck clique and decay every ten
 restarts, steering later restarts away from over-visited regions.
 
+The swap scan works from the clique's own members, not from all n
+vertices. Once the clique C is maximal, the vertices that miss exactly
+member u are the common neighbours of C minus u (u itself aside), and
+prefix and suffix ANDs of the members' neighbour masks give those sets
+for every u at once. A step therefore costs O(|C|) big-int ANDs plus
+the swap candidates, rather than O(n). A swap's gain is then
+sum_C w(v, .) - sum_C w(u, .), two C-level sums over the member list;
+this is exact because non-edges weigh 0 (w(v, u) = 0) and the diagonal
+is 0 (w(u, u) = 0).
+
 The best clique seen anywhere is returned; it is always feasible, and
 for a fixed seed the run is deterministic. Solution quality is
 heuristic, which is fine for a warm start: the exact search only uses
@@ -36,7 +46,10 @@ class PlsConfig:
     def validate(self):
         for name in ("iterations", "random_phase_len", "penalty_phase_len",
                      "degree_phase_len"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -50,9 +63,14 @@ def _bits(mask):
 
 
 def pls(g: WeightedGraph, config: PlsConfig | None = None) -> VertexSet:
-    """Run the phased local search and return the best clique found."""
+    """Run the phased local search and return the best clique found.
+
+    g must be a plain edge-weight instance (all vertex weights zero).
+    """
     cfg = config or PlsConfig()
     cfg.validate()
+    if any(g.vertex_weights):
+        raise ValueError("edge-weight solve requires all-zero vertex weights")
     n = g.n
     if n == 0:
         return VertexSet()
@@ -63,9 +81,11 @@ def pls(g: WeightedGraph, config: PlsConfig | None = None) -> VertexSet:
     penalties = [0] * n
     restarts = 0
 
-    cmask = 1 << rng.randrange(n)
+    v0 = rng.randrange(n)
+    members = [v0]
+    cmask = 1 << v0
     cweight = 0
-    cand = adj[cmask.bit_length() - 1]
+    cand = adj[v0]
     best_mask, best_w = cmask, 0
 
     def pick(cands, mode):
@@ -76,8 +96,7 @@ def pls(g: WeightedGraph, config: PlsConfig | None = None) -> VertexSet:
             return min(cands, key=lambda v: (penalties[v], v))
         best_v, best_s = cands[0], -1
         for v in cands:
-            row = rows[v]
-            s = sum(row[u] for u in cands if u != v)
+            s = sum(map(rows[v].__getitem__, cands))  # rows[v][v] == 0
             if s > best_s:
                 best_v, best_s = v, s
         return best_v
@@ -89,46 +108,53 @@ def pls(g: WeightedGraph, config: PlsConfig | None = None) -> VertexSet:
             for _ in range(steps):
                 if cand:
                     v = pick(_bits(cand), mode)
-                    row = rows[v]
-                    cweight += sum(row[u] for u in _bits(cmask))
+                    cweight += sum(map(rows[v].__getitem__, members))
+                    members.append(v)
                     cmask |= 1 << v
                     cand &= adj[v]
                     if cweight > best_w:
                         best_w, best_mask = cweight, cmask
                     continue
-                # clique is maximal: look for a strictly improving swap
-                cm = _bits(cmask)
+                # clique is maximal: look for a strictly improving swap.
+                # pre[i] & suf[i + 1] is the common neighbourhood of every
+                # member but u = members[i]; with cand empty, its vertices
+                # other than u miss exactly u.
                 swaps = {}
-                for v in range(n):
-                    if (cmask >> v) & 1:
-                        continue
-                    missing = cmask & ~adj[v]
-                    if missing.bit_count() != 1:
-                        continue
-                    u = missing.bit_length() - 1
-                    row_v = rows[v]
-                    row_u = rows[u]
-                    gain = sum(row_v[x] - row_u[x] for x in cm if x != u)
-                    if gain > 0:
-                        swaps[v] = (gain, u)
+                k = len(members)
+                if k > 1:
+                    pre = [full] * (k + 1)
+                    suf = [full] * (k + 1)
+                    for i in range(k):
+                        pre[i + 1] = pre[i] & adj[members[i]]
+                        suf[k - 1 - i] = suf[k - i] & adj[members[k - 1 - i]]
+                    for i, u in enumerate(members):
+                        m = pre[i] & suf[i + 1] & ~(1 << u)
+                        if not m:
+                            continue
+                        w_u = sum(map(rows[u].__getitem__, members))
+                        for v in _bits(m):
+                            gain = sum(map(rows[v].__getitem__, members)) - w_u
+                            if gain > 0:
+                                swaps[v] = (gain, u)
                 if swaps:
                     v = pick(sorted(swaps), mode)
                     gain, u = swaps[v]
+                    i = members.index(u)
+                    members[i] = v
                     cweight += gain
                     cmask = (cmask & ~(1 << u)) | (1 << v)
-                    cand = full
-                    for x in _bits(cmask):
-                        cand &= adj[x]
+                    cand = pre[i] & suf[i + 1] & adj[v]
                     if cweight > best_w:
                         best_w, best_mask = cweight, cmask
                 else:
                     # stuck: penalize the members and restart elsewhere
-                    for x in cm:
+                    for x in members:
                         penalties[x] += 1
                     restarts += 1
                     if restarts % 10 == 0:
                         penalties = [p - 1 if p > 0 else 0 for p in penalties]
                     v0 = rng.randrange(n)
+                    members = [v0]
                     cmask = 1 << v0
                     cweight = 0
                     cand = adj[v0]

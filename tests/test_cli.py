@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,6 +81,19 @@ class TestSolve:
         report = json.loads(capsys.readouterr().out)
         assert report["best_weight"] == 192
         assert report["proven_optimal"] is True
+
+    def test_python_dash_m_from_checkout(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mewclique", "solve",
+             "tests/data/johnson8-2-4.clq", "--dimacs-auto-weight",
+             "--output", "json"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["best_weight"] == 192
 
     def test_single_vertex_instance(self, tmp_path, capsys):
         path = tmp_path / "empty.wedge"

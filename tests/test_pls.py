@@ -1,15 +1,156 @@
+import random
+
 import pytest
 
-from mewclique import (PlsConfig, WeightedGraph, apply_dimacs_weights,
-                       gen_random, is_clique, parse_dimacs, pls, set_weight,
-                       solve)
+from mewclique import (PlsConfig, VertexSet, WeightedGraph,
+                       apply_dimacs_weights, gen_random, is_clique,
+                       parse_dimacs, pls, set_weight, solve)
+
+from conftest import with_zero_weights
+
+
+def _bits(mask):
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
+
+
+def _reference_pls(g, config=None):
+    """The phased local search as first written: an O(n) swap scan over
+    every vertex, generator sums and bit walks of the clique mask. Slow
+    on purpose; pls must follow the same trajectory step for step."""
+    cfg = config or PlsConfig()
+    cfg.validate()
+    n = g.n
+    if n == 0:
+        return VertexSet()
+    rng = random.Random(cfg.seed)
+    adj = g.adj_bits
+    rows = g.weight_rows
+    full = (1 << n) - 1
+    penalties = [0] * n
+    restarts = 0
+
+    cmask = 1 << rng.randrange(n)
+    cweight = 0
+    cand = adj[cmask.bit_length() - 1]
+    best_mask, best_w = cmask, 0
+
+    def pick(cands, mode):
+        if mode == "random":
+            return cands[rng.randrange(len(cands))]
+        if mode == "penalty":
+            return min(cands, key=lambda v: (penalties[v], v))
+        best_v, best_s = cands[0], -1
+        for v in cands:
+            row = rows[v]
+            s = sum(row[u] for u in cands if u != v)
+            if s > best_s:
+                best_v, best_s = v, s
+        return best_v
+
+    for _ in range(cfg.iterations):
+        for mode, steps in (("random", cfg.random_phase_len),
+                            ("penalty", cfg.penalty_phase_len),
+                            ("degree", cfg.degree_phase_len)):
+            for _ in range(steps):
+                if cand:
+                    v = pick(_bits(cand), mode)
+                    row = rows[v]
+                    cweight += sum(row[u] for u in _bits(cmask))
+                    cmask |= 1 << v
+                    cand &= adj[v]
+                    if cweight > best_w:
+                        best_w, best_mask = cweight, cmask
+                    continue
+                cm = _bits(cmask)
+                swaps = {}
+                for v in range(n):
+                    if (cmask >> v) & 1:
+                        continue
+                    missing = cmask & ~adj[v]
+                    if missing.bit_count() != 1:
+                        continue
+                    u = missing.bit_length() - 1
+                    row_v = rows[v]
+                    row_u = rows[u]
+                    gain = sum(row_v[x] - row_u[x] for x in cm if x != u)
+                    if gain > 0:
+                        swaps[v] = (gain, u)
+                if swaps:
+                    v = pick(sorted(swaps), mode)
+                    gain, u = swaps[v]
+                    cweight += gain
+                    cmask = (cmask & ~(1 << u)) | (1 << v)
+                    cand = full
+                    for x in _bits(cmask):
+                        cand &= adj[x]
+                    if cweight > best_w:
+                        best_w, best_mask = cweight, cmask
+                else:
+                    for x in cm:
+                        penalties[x] += 1
+                    restarts += 1
+                    if restarts % 10 == 0:
+                        penalties = [p - 1 if p > 0 else 0 for p in penalties]
+                    v0 = rng.randrange(n)
+                    cmask = 1 << v0
+                    cweight = 0
+                    cand = adj[v0]
+
+    out = VertexSet.from_mask(best_mask)
+    assert is_clique(g, out) and set_weight(g, out) == best_w
+    return out
 
 
 def test_config_validation():
     for field in ("iterations", "random_phase_len", "penalty_phase_len",
                   "degree_phase_len"):
-        with pytest.raises(ValueError, match=field):
-            pls(WeightedGraph(2, [(0, 1, 1)]), PlsConfig(**{field: 0}))
+        for bad in (0, 2.5, True):
+            with pytest.raises(ValueError, match=field):
+                pls(WeightedGraph(2, [(0, 1, 1)]), PlsConfig(**{field: bad}))
+
+
+def test_vertex_weighted_graph_rejected():
+    g = WeightedGraph(3, [(0, 1, 2), (1, 2, 3)], vertex_weights=[5, 0, 1])
+    with pytest.raises(ValueError, match="all-zero vertex weights"):
+        pls(g)
+
+
+def _random_graphs():
+    # n 2..60, densities 0.1..0.95
+    for seed in range(40):
+        yield gen_random(2 + seed * 58 // 39, 0.1 + (seed % 18) * 0.05,
+                         1, 10, seed=seed)
+
+
+def _assert_same_trajectory(g, cfg):
+    assert pls(g, cfg).mask == _reference_pls(g, cfg).mask
+
+
+def test_matches_reference_on_random_graphs():
+    for i, g in enumerate(_random_graphs()):
+        for h in (g, with_zero_weights(g)):
+            _assert_same_trajectory(h, PlsConfig(iterations=3, seed=i))
+            for seed in range(3):
+                _assert_same_trajectory(h, PlsConfig(3, 7, 5, 9, seed=seed))
+
+
+def test_matches_reference_on_sparse_graphs():
+    for seed in range(3):
+        g = gen_random(400, 0.01, 1, 10, seed=seed)
+        _assert_same_trajectory(g, PlsConfig(seed=seed))
+
+
+@pytest.mark.parametrize("name", ["MANN_a9", "johnson8-4-4"])
+def test_matches_reference_on_dimacs(data_dir, name):
+    g = apply_dimacs_weights(
+        parse_dimacs((data_dir / f"{name}.clq").read_text()))
+    for seed in range(3):
+        _assert_same_trajectory(g, PlsConfig(seed=seed))
 
 
 def test_empty_graph():
