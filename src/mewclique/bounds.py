@@ -15,6 +15,21 @@ effect, a per-vertex pruning bound (score at coloring time plus the
 running sum of closed-class maxima) and a branch order along which
 those bounds are non-increasing, which is exactly what the solver's
 pruning loop wants.
+
+In symbols: with classes C_0, C_1, ... in construction order, join
+weights jw and score(v) = jw(v) + Σ_{j<class(v)} max_{u∈C_j∩N(v)} w(u,v),
+a clique K with at most one member per class satisfies
+
+    jw(K) + w(K) = Σ_{v∈K} (jw(v) + Σ_{u∈K, class(u)<class(v)} w(u,v))
+                 ≤ Σ_{v∈K} score(v)
+                 ≤ Σ_j max_{u∈C_j} score(u),
+
+and the bound of v in class i, score(v) + Σ_{j<i} max_{u∈C_j} score(u),
+covers every clique through v whose other members are colored before
+v. The scores are returned per call, so the solver can tighten that
+bound for a branch vertex p: adding p's edge to each term and taking
+the maxima only over p's neighbors colored before it gives its
+look-ahead (see :mod:`mewclique.solver`).
 """
 
 from dataclasses import dataclass
@@ -128,26 +143,28 @@ _SCAN_MAX_CLASS = 32
 class ColoringWorkspace:
     """Reusable scratch state for the per-node bound computation.
 
-    The search calls :meth:`run` once per node, so the score array and
-    the per-vertex masks are built once, not per call. One workspace serves
-    one solver; distinct workspaces over the same graph may run
-    concurrently.
+    The search calls :meth:`run` once per node, so the per-vertex masks
+    are built once, not per call. One workspace serves one solver;
+    distinct workspaces over the same graph may run concurrently.
     """
 
     def __init__(self, graph: WeightedGraph):
         self.graph = graph
-        self._score = [0] * graph.n
         self._bit = [1 << v for v in range(graph.n)]
         # picking v shuts v and its neighbors out of the open class
         self._shut = [~(a | 1 << v) for v, a in enumerate(graph.adj_bits)]
 
-    def run(self, s_mask: int, join_w):
+    def run(self, s_mask: int, keys: list):
         """Greedy coloring pass over the candidate set `s_mask`.
 
-        join_w holds each candidate's join weight, indexed by vertex.
-        Returns (order, bounds, class_masks) where order/bounds are
-        parallel fresh lists in branch order and class_masks are the
-        independent sets as bitmasks in construction order.
+        keys holds one packed key ``join_w[v] << sh | v`` per candidate
+        v, in any order, with ``sh = n.bit_length()``, so keys order
+        exactly like ``(join weight, v)``; run sorts the list in place.
+        Returns (order, bounds, class_masks, score): order/bounds are
+        parallel fresh lists in branch order, class_masks are the
+        independent sets as bitmasks in construction order, and score
+        is a fresh dict of each candidate's final score, so it stays
+        valid while later calls run.
 
         Classes are built maximal. Within one class vertices are taken
         in increasing score, ties to the lowest index; scores are
@@ -157,30 +174,21 @@ class ColoringWorkspace:
         adjacent to it, by maximality) absorbs its heaviest edge into
         that class and only the leftovers, nearly sorted, are re-sorted.
 
-        Invariants this relies on: a candidate is the int key
-        ``score << sh | v`` with ``sh = n.bit_length()``, so keys order
-        exactly like ``(score, v)``; and ``weight_rows`` is dense with 0
-        for non-edges and all weights >= 0, so the heaviest edge into a
-        class of up to _SCAN_MAX_CLASS members is the plain max of
-        ``rows[v][u]`` over them, with no adjacency test. Weight storage
-        that scales with m (ROADMAP item 5) must keep an O(1)
-        ``rows[v][u]`` lookup or change this scan.
+        ``weight_rows`` must be dense with 0 for non-edges and all
+        weights >= 0: the heaviest edge into a class of up to
+        _SCAN_MAX_CLASS members is then the plain max of ``rows[v][u]``
+        over them, with no adjacency test. Weight storage that scales
+        with m (ROADMAP item 5) must keep an O(1) ``rows[v][u]`` lookup
+        or change this scan.
         """
         adj = self.graph.adj_bits
         rows = self.graph.weight_rows
-        score = self._score
         bit = self._bit
         shut = self._shut
         sh = self.graph.n.bit_length()
         low = (1 << sh) - 1
-        keys = []
-        m = s_mask
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            keys.append(join_w[v] << sh | v)
-            m ^= b
         keys.sort()
+        score = {}
         order = []  # colored order; reversed into branch order at the end
         bounds = []
         class_masks = []
@@ -222,7 +230,7 @@ class ColoringWorkspace:
             keys.sort()
         order.reverse()
         bounds.reverse()
-        return order, bounds, class_masks
+        return order, bounds, class_masks, score
 
 
 def seq_and_bounds(g: WeightedGraph, s: VertexSet, join_weights) -> SeqAndBounds:
@@ -235,7 +243,8 @@ def seq_and_bounds(g: WeightedGraph, s: VertexSet, join_weights) -> SeqAndBounds
     the solver's pruning test needs.
     """
     g._check_subset(s)
-    jw = [0] * g.n
+    sh = g.n.bit_length()
+    keys = []
     for v in s:
         try:
             w = join_weights[v]
@@ -243,12 +252,11 @@ def seq_and_bounds(g: WeightedGraph, s: VertexSet, join_weights) -> SeqAndBounds
             raise ValueError(f"no join weight given for vertex {v}") from None
         if w < 0:
             raise ValueError(f"negative join weight {w} for vertex {v}")
-        jw[v] = w
-    workspace = ColoringWorkspace(g)
-    order, bounds, class_masks = workspace.run(s.mask, jw)
+        keys.append(w << sh | v)
+    order, bounds, class_masks, score = ColoringWorkspace(g).run(s.mask, keys)
     return SeqAndBounds(
         order=order,
         upper=dict(zip(order, bounds)),
         classes=[VertexSet.from_mask(c) for c in class_masks],
-        score={v: workspace._score[v] for v in order},
+        score=score,
     )

@@ -10,7 +10,28 @@ branches on S in index order with every bound unbounded. Candidates
 already branched on at this node are excluded from child candidate
 sets, so every clique is visited at most once. Clique weight and
 per-candidate join weights are maintained incrementally on the way down
-and rolled back on the way up.
+and rolled back on the way up; the walk that pushes a branch vertex's
+edges onto its child's join weights also packs the child's plan keys.
+
+With ``bound="tight"`` that walk also looks ahead. Say branch vertex p
+sits in color class C_i of this node's coloring, jw are the join
+weights, score(u) the scores of this node's pass and
+child = remaining ∩ N(p), which lies in C_0 ∪ ... ∪ C_{i-1}. A clique
+K ⊆ child extending C + p has at most one member per class, and each
+of its internal edges is charged, at the endpoint in the later class,
+to a heaviest-edge term of that endpoint's score, so
+
+    w(C + p + K) = w(C) + jw(p) + Σ_{u∈K} (jw(u) + w(p,u)) + w(K)
+                 ≤ w(C) + jw(p) + Σ_{u∈K} (score(u) + w(p,u))
+                 ≤ w(C) + jw(p) + Σ_{j<i} max_{u∈C_j∩child} (score(u) + w(p,u))
+                 ≤ w(C) + score(p) + Σ_{j<i} max_{u∈C_j} score(u),
+
+the last line being p's partition bound (score(p) is jw(p) plus p's
+heaviest edge into each earlier class). When the third line is at most
+the incumbent the child cannot improve it and is skipped without a
+node. Every skipped subtree holds no clique heavier than the
+incumbent, so best weights and the incumbent sequence are the same in
+both modes; only node counts fall.
 
 The search is deterministic: ties in the coloring are broken by vertex
 index and nothing is randomized, so a given instance and configuration
@@ -33,11 +54,15 @@ class SolverConfig:
     Limits are wall-clock seconds and node counts; None means
     unlimited. assertion_level "invariants" re-derives all node state
     from scratch at every node; it is meant for tests and is orders of
-    magnitude slower. use_coloring_bound False swaps the coloring plan
-    for the ascending plan: the same branch loop then visits candidates
-    in index order with every bound plus infinity, a plain enumeration
-    of all cliques (a baseline for measuring pruning, not a useful
-    solver).
+    magnitude slower. bound "tight" (the default) skips a child when
+    the look-ahead from this node's coloring (see the module docstring)
+    proves it cannot beat the incumbent; "partition" branches on every
+    vertex that passes the partition bound, the paper's search node for
+    node. Both return the same best weights. use_coloring_bound False
+    swaps the coloring plan for the ascending plan: the same branch
+    loop then visits candidates in index order with every bound plus
+    infinity and no look-ahead, a plain enumeration of all cliques (a
+    baseline for measuring pruning, not a useful solver).
     """
 
     time_limit: float | None = None
@@ -45,25 +70,41 @@ class SolverConfig:
     use_initial_solution: bool = True
     assertion_level: str = "off"  # "off" | "invariants"
     use_coloring_bound: bool = True
+    bound: str = "tight"  # "tight" | "partition"
 
     def validate(self):
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive when set")
-        if self.node_limit is not None and self.node_limit <= 0:
-            raise ValueError("node_limit must be positive when set")
+        limit = self.time_limit
+        if limit is not None:
+            if isinstance(limit, bool) or not isinstance(limit, (int, float)):
+                raise ValueError(f"time_limit must be a number, got {limit!r}")
+            if not limit > 0:  # also catches NaN
+                raise ValueError("time_limit must be positive when set")
+        limit = self.node_limit
+        if limit is not None:
+            if isinstance(limit, bool) or not isinstance(limit, int):
+                raise ValueError(f"node_limit must be an int, got {limit!r}")
+            if limit <= 0:
+                raise ValueError("node_limit must be positive when set")
         if self.assertion_level not in ("off", "invariants"):
             raise ValueError(f"unknown assertion_level {self.assertion_level!r}")
+        if not isinstance(self.use_coloring_bound, bool):
+            raise ValueError("use_coloring_bound must be a bool, "
+                             f"got {self.use_coloring_bound!r}")
+        if self.bound not in ("tight", "partition"):
+            raise ValueError(f"unknown bound {self.bound!r}")
 
 
-def _ascending(s_mask, join_w):
+def _ascending(s_mask, keys):
     """Enumeration plan: every candidate in ascending index order, none
-    bounded. Same shape as ``ColoringWorkspace.run``; no classes."""
+    bounded. Same shape as ``ColoringWorkspace.run``: one class holding
+    every candidate, and every score unbounded too."""
     order = []
-    while s_mask:
-        b = s_mask & -s_mask
+    m = s_mask
+    while m:
+        b = m & -m
         order.append(b.bit_length() - 1)
-        s_mask ^= b
-    return order, [math.inf] * len(order), ()
+        m ^= b
+    return order, [math.inf] * len(order), (s_mask,), dict.fromkeys(order, math.inf)
 
 
 @dataclass
@@ -119,6 +160,8 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
         sys.setrecursionlimit(n + 512)
 
     plan = ColoringWorkspace(g).run if cfg.use_coloring_bound else _ascending
+    look_ahead = cfg.use_coloring_bound and cfg.bound == "tight"
+    sh = n.bit_length()  # candidate keys are join_w[v] << sh | v
     join_w = [0] * n
     members = []
     iterations = 0
@@ -129,13 +172,14 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
     start = time.perf_counter()
     deadline = start + cfg.time_limit if cfg.time_limit is not None else None
 
-    def verify_node(s_mask, weight_c):
+    def verify_node(s_mask, weight_c, keys):
         cmask = 0
         for u in members:
             cmask |= 1 << u
         cset = VertexSet.from_mask(cmask)
         assert is_clique(g, cset), "current members are not a clique"
         assert weight_c == set_weight(g, cset), "incremental weight drifted"
+        expected = []
         m = s_mask
         while m:
             b = m & -m
@@ -143,8 +187,10 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
             m ^= b
             assert adj[v] & cmask == cmask, "candidate misses a clique member"
             assert join_w[v] == sum(rows[v][u] for u in members), "stale join weight"
+            expected.append(join_w[v] << sh | v)
+        assert sorted(keys) == sorted(expected), "stale plan keys"
 
-    def expand(s_mask, weight_c):
+    def expand(s_mask, weight_c, keys):
         nonlocal iterations, aborted, best_mask, best_w, heaviest_seen
         if node_limit is not None and iterations >= node_limit:
             aborted = True
@@ -154,7 +200,7 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
             return
         iterations += 1
         if checking:
-            verify_node(s_mask, weight_c)
+            verify_node(s_mask, weight_c, keys)
             if weight_c > heaviest_seen:
                 heaviest_seen = weight_c
         if not s_mask:
@@ -165,31 +211,51 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
                     mask |= 1 << u
                 best_mask = mask
             return
-        order, ubs, _ = plan(s_mask, join_w)
+        order, ubs, classes, score = plan(s_mask, keys)
         remaining = s_mask
         for p, ub in zip(order, ubs):
             if weight_c + ub <= best_w:
                 break  # bounds are non-increasing along the order
             child = remaining & adj[p]
             row = rows[p]
+            weight_p = weight_c + join_w[p]
+            # push p's edges onto the child's join weights and pack its
+            # keys; child lies in classes before p's, and per class the
+            # best score(v) + w(p, v) adds to the look-ahead bound
             pushed = []
-            m = child
-            while m:
-                b = m & -m
-                v = b.bit_length() - 1
-                join_w[v] += row[v]
-                pushed.append(v)
-                m ^= b
-            members.append(p)
-            expand(child, weight_c + join_w[p])
-            members.pop()
+            child_keys = []
+            ahead = weight_p
+            rest = child
+            for cls in classes:
+                if not rest:
+                    break
+                m = rest & cls
+                rest ^= m
+                top = 0
+                while m:
+                    b = m & -m
+                    v = b.bit_length() - 1
+                    m ^= b
+                    w = row[v]
+                    jv = join_w[v] + w
+                    join_w[v] = jv
+                    pushed.append(v)
+                    child_keys.append(jv << sh | v)
+                    w += score[v]
+                    if w > top:
+                        top = w
+                ahead += top
+            if not (look_ahead and ahead <= best_w):
+                members.append(p)
+                expand(child, weight_p, child_keys)
+                members.pop()
             for v in pushed:
                 join_w[v] -= row[v]
             if aborted:
                 return
             remaining ^= 1 << p
 
-    expand((1 << n) - 1 if n else 0, 0)
+    expand((1 << n) - 1 if n else 0, 0, list(range(n)))
     elapsed = time.perf_counter() - start
 
     result = VertexSet.from_mask(best_mask)

@@ -108,8 +108,10 @@ class TestSeqAndBounds:
         for _ in range(20):
             s_mask = rng.randrange(1 << g.n)
             jw = [rng.randint(0, 9) for _ in range(g.n)]
-            reused = ws.run(s_mask, jw)
-            fresh = ColoringWorkspace(g).run(s_mask, jw)
+            keys = [jw[v] << g.n.bit_length() | v
+                    for v in range(g.n) if s_mask >> v & 1]
+            reused = ws.run(s_mask, list(keys))
+            fresh = ColoringWorkspace(g).run(s_mask, list(keys))
             assert reused == fresh
 
 
@@ -215,3 +217,39 @@ class TestPlanProperties:
             sub = induced_weighted(g, s_mask, join)
             best = brute_force_vertex_edge_mewc(sub, n_limit=100)  # sparse at 100
             assert best <= plan.upper[plan.order[0]]
+
+
+def test_look_ahead_soundness():
+    # the solver's look-ahead for branch vertex p in class i, from the
+    # plan of its node: join(p) plus, per earlier class, the best
+    # score(u) + w(p, u) over p's child (neighbors colored before p).
+    # It must dominate every clique through p and the vertices colored
+    # before p, in the style of criterion 4
+    rng = random.Random(78)
+    violations = 0
+    checked = 0
+    for gi in range(500):
+        n = 6 + gi % 11
+        g = gen_random(n, rng.choice([0.2, 0.4, 0.6, 0.8]), 1, 10,
+                       seed=6000 + gi)
+        if gi % 2:
+            g = with_zero_weights(g)
+        s_mask = rng.randrange(1, 1 << n)
+        join = [rng.randint(0, 12) for _ in range(n)]
+        plan = seq_and_bounds(g, VertexSet.from_mask(s_mask), join)
+        row_of = g.weight_rows
+        before = 0  # vertices colored before p, i.e. later in the order
+        for p in reversed(plan.order):
+            child = before & g.adj_bits[p]
+            ahead = join[p]
+            for cls in plan.classes:
+                if p in cls:
+                    break
+                ahead += max((plan.score[u] + row_of[p][u]
+                              for u in cls if child >> u & 1), default=0)
+            if ahead < _best_weight_containing(g, p, before, join):
+                violations += 1
+            before |= 1 << p
+        checked += 1
+    assert checked >= 500
+    assert violations == 0

@@ -149,6 +149,18 @@ class TestSolve:
                      "--time-limit", "-1"]) == 1
         assert "time_limit" in capsys.readouterr().err
 
+    def test_nan_time_limit_checked_before_parse(self, data_dir, monkeypatch,
+                                                 capsys):
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the instance was read before the limits "
+                                 "were checked")
+
+        monkeypatch.setattr(cli, "_load_instance", no_parse)
+        path = data_dir / "johnson8-2-4.clq"
+        assert main(["solve", str(path), "--dimacs-auto-weight",
+                     "--time-limit", "nan"]) == 1
+        assert "time_limit" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.clq")]) == 1
         assert "error:" in capsys.readouterr().err

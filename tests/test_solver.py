@@ -1,12 +1,18 @@
+import json
+import math
 import random
+from pathlib import Path
 
 import pytest
 
 from mewclique import (PlsConfig, SolverConfig, VertexSet, WeightedGraph,
-                       brute_force_mewc, gen_random, is_clique, pls,
-                       set_weight, solve)
+                       apply_dimacs_weights, brute_force_mewc, gen_random,
+                       is_clique, parse_dimacs, pls, set_weight, solve)
 
 from conftest import count_cliques, with_zero_weights
+
+FINGERPRINT = (Path(__file__).parent.parent / "perfbench"
+               / "baseline-fingerprint-dimacs9.json")
 
 TWO_TRIANGLES = [(0, 1, 2), (0, 2, 2), (1, 2, 2),
                  (3, 4, 2), (3, 5, 2), (4, 5, 2)]
@@ -30,6 +36,19 @@ class TestValidation:
     def test_rejects_bad_config(self, g6, cfg):
         with pytest.raises(ValueError):
             solve(g6, config=cfg)
+
+    @pytest.mark.parametrize("field, value", [
+        ("time_limit", math.nan),
+        ("time_limit", True),
+        ("time_limit", "5"),
+        ("node_limit", 2.5),
+        ("node_limit", True),
+        ("use_coloring_bound", "no"),
+        ("bound", "exact"),
+    ])
+    def test_rejects_bad_field(self, g6, field, value):
+        with pytest.raises(ValueError, match=field):
+            solve(g6, config=SolverConfig(**{field: value}))
 
 
 class TestBasics:
@@ -163,11 +182,14 @@ def test_determinism():
     assert len({r.iterations for r in runs}) == 1
 
 
-def _reference_solve(g):
+def _reference_solve(g, look_ahead=False):
     """Literal, uncached transliteration of the search for trace
     comparison: join weights, clique weights and scores are recomputed
     from scratch at every node, the branch loop tests every candidate,
-    and plain lists stand in for bitmasks. Slow on purpose."""
+    and plain lists stand in for bitmasks. With look_ahead, a branch
+    whose clique weight plus, per earlier class, the best
+    score(u) + w(p, u) over its child cannot beat the incumbent is
+    skipped without a node. Slow on purpose."""
     adj = g.adj_bits
     w = g.weight_rows
     state = {"best": 0, "iterations": 0}
@@ -194,7 +216,13 @@ def _reference_solve(g):
                 if linked:
                     score[v] += max(linked)
         order.reverse()
-        return order, upper
+        return order, upper, classes, score
+
+    def ahead(c_members, p, child, classes, score):
+        i = next(j for j, cls in enumerate(classes) if p in cls)
+        return weight_of(c_members + [p]) + sum(
+            max([score[u] + w[p][u] for u in classes[j] if u in child], default=0)
+            for j in range(i))
 
     def expand(c_members, s_members):
         state["iterations"] += 1
@@ -204,29 +232,59 @@ def _reference_solve(g):
                 state["best"] = wc
             return
         wc = weight_of(c_members)
-        order, upper = calc(c_members, s_members)
+        order, upper, classes, score = calc(c_members, s_members)
         branched = set()
         for p in order:
             if wc + upper[p] > state["best"]:
                 child = [v for v in s_members
                          if v not in branched and (adj[p] >> v) & 1]
-                expand(c_members + [p], child)
+                if not (look_ahead and ahead(c_members, p, child, classes,
+                                             score) <= state["best"]):
+                    expand(c_members + [p], child)
             branched.add(p)
 
     expand([], list(range(g.n)))
     return state["best"], state["iterations"]
 
 
-def test_matches_reference_implementation_node_for_node(g6):
-    # deterministic tie-breaks make the node count a trace fingerprint:
-    # any divergence in order, pruning or state maintenance shows up
+def _trace_graphs(g6):
     graphs = [g6] + [gen_random(8 + s % 7, (s % 3 + 1) * 0.25, 1, 10, seed=s)
                      for s in range(40)]
     graphs += [with_zero_weights(g) for g in graphs[1:11]]
     graphs.append(gen_random(14, 0.95, 1, 10, seed=0))  # density 0.956
     graphs.append(gen_random(100, 0.03, 1, 10, seed=0))  # root classes up to 49
-    for g in graphs:
-        res = solve(g)
+    return graphs
+
+
+def test_matches_reference_implementation_node_for_node(g6):
+    # deterministic tie-breaks make the node count a trace fingerprint:
+    # any divergence in order, pruning or state maintenance shows up
+    for g in _trace_graphs(g6):
+        res = solve(g, config=SolverConfig(bound="partition"))
         ref_weight, ref_iterations = _reference_solve(g)
         assert res.best_weight == ref_weight
         assert res.iterations == ref_iterations
+
+
+def test_tight_matches_reference_implementation_node_for_node(g6):
+    for g in _trace_graphs(g6):
+        res = solve(g, config=SolverConfig(bound="tight"))
+        ref_weight, ref_iterations = _reference_solve(g, look_ahead=True)
+        assert res.best_weight == ref_weight
+        assert res.iterations == ref_iterations
+
+
+def test_dimacs_partition_trace_matches_benchmark_fingerprint(data_dir):
+    # the benchmark's pipeline: auto-weighting, then a PLS warm start
+    pinned = json.loads(FINGERPRINT.read_text())["fingerprint"]
+    assert len(pinned) == 9
+    for name, want in pinned.items():
+        g = apply_dimacs_weights(parse_dimacs((data_dir / f"{name}.clq").read_text()))
+        warm = pls(g, PlsConfig(iterations=10, seed=0))
+        partition = solve(g, warm, SolverConfig(bound="partition"))
+        assert partition.best_weight == want["best_weight"], name
+        assert partition.iterations == want["solver.nodes"], name
+        tight = solve(g, warm, SolverConfig(bound="tight"))
+        assert tight.best_weight == partition.best_weight, name
+        assert tight.best_clique == partition.best_clique, name
+        assert tight.iterations <= partition.iterations, name
