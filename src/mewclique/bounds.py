@@ -159,7 +159,10 @@ class ColoringWorkspace:
 
         keys holds one packed key ``join_w[v] << sh | v`` per candidate
         v, in any order, with ``sh = n.bit_length()``, so keys order
-        exactly like ``(join weight, v)``; run sorts the list in place.
+        exactly like ``(join weight, v)``. run sorts the caller's list
+        in place; pass a copy to keep its order. A list of a different
+        length than the candidate set (say, one join weight per vertex
+        of the graph) raises ValueError.
         Returns (order, bounds, class_masks, score): order/bounds are
         parallel fresh lists in branch order, class_masks are the
         independent sets as bitmasks in construction order, and score
@@ -187,6 +190,9 @@ class ColoringWorkspace:
         shut = self._shut
         sh = self.graph.n.bit_length()
         low = (1 << sh) - 1
+        if len(keys) != s_mask.bit_count():
+            raise ValueError(f"{len(keys)} keys for "
+                             f"{s_mask.bit_count()} candidates")
         keys.sort()
         score = {}
         order = []  # colored order; reversed into branch order at the end

@@ -13,7 +13,7 @@ per-candidate join weights are maintained incrementally on the way down
 and rolled back on the way up; the walk that pushes a branch vertex's
 edges onto its child's join weights also packs the child's plan keys.
 
-With ``bound="tight"`` that walk also looks ahead. Say branch vertex p
+Under the coloring plan that walk also looks ahead. Say branch vertex p
 sits in color class C_i of this node's coloring, jw are the join
 weights, score(u) the scores of this node's pass and
 child = remaining ∩ N(p), which lies in C_0 ∪ ... ∪ C_{i-1}. A clique
@@ -30,8 +30,8 @@ the last line being p's partition bound (score(p) is jw(p) plus p's
 heaviest edge into each earlier class). When the third line is at most
 the incumbent the child cannot improve it and is skipped without a
 node. Every skipped subtree holds no clique heavier than the
-incumbent, so best weights and the incumbent sequence are the same in
-both modes; only node counts fall.
+incumbent, so the look-ahead changes node counts, never best weights or
+the incumbent sequence.
 
 The search is deterministic: ties in the coloring are broken by vertex
 index and nothing is randomized, so a given instance and configuration
@@ -54,15 +54,11 @@ class SolverConfig:
     Limits are wall-clock seconds and node counts; None means
     unlimited. assertion_level "invariants" re-derives all node state
     from scratch at every node; it is meant for tests and is orders of
-    magnitude slower. bound "tight" (the default) skips a child when
-    the look-ahead from this node's coloring (see the module docstring)
-    proves it cannot beat the incumbent; "partition" branches on every
-    vertex that passes the partition bound, the paper's search node for
-    node. Both return the same best weights. use_coloring_bound False
-    swaps the coloring plan for the ascending plan: the same branch
-    loop then visits candidates in index order with every bound plus
-    infinity and no look-ahead, a plain enumeration of all cliques (a
-    baseline for measuring pruning, not a useful solver).
+    magnitude slower. use_coloring_bound False swaps the coloring plan
+    for the ascending plan: the same branch loop then visits candidates
+    in index order with every bound plus infinity and no look-ahead, a
+    plain enumeration of all cliques (a baseline for measuring pruning,
+    not a useful solver).
     """
 
     time_limit: float | None = None
@@ -70,7 +66,6 @@ class SolverConfig:
     use_initial_solution: bool = True
     assertion_level: str = "off"  # "off" | "invariants"
     use_coloring_bound: bool = True
-    bound: str = "tight"  # "tight" | "partition"
 
     def validate(self):
         limit = self.time_limit
@@ -87,11 +82,10 @@ class SolverConfig:
                 raise ValueError("node_limit must be positive when set")
         if self.assertion_level not in ("off", "invariants"):
             raise ValueError(f"unknown assertion_level {self.assertion_level!r}")
-        if not isinstance(self.use_coloring_bound, bool):
-            raise ValueError("use_coloring_bound must be a bool, "
-                             f"got {self.use_coloring_bound!r}")
-        if self.bound not in ("tight", "partition"):
-            raise ValueError(f"unknown bound {self.bound!r}")
+        for name in ("use_initial_solution", "use_coloring_bound"):
+            flag = getattr(self, name)
+            if not isinstance(flag, bool):
+                raise ValueError(f"{name} must be a bool, got {flag!r}")
 
 
 def _ascending(s_mask, keys):
@@ -160,7 +154,7 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
         sys.setrecursionlimit(n + 512)
 
     plan = ColoringWorkspace(g).run if cfg.use_coloring_bound else _ascending
-    look_ahead = cfg.use_coloring_bound and cfg.bound == "tight"
+    look_ahead = cfg.use_coloring_bound
     sh = n.bit_length()  # candidate keys are join_w[v] << sh | v
     join_w = [0] * n
     members = []

@@ -114,6 +114,11 @@ class TestSeqAndBounds:
             fresh = ColoringWorkspace(g).run(s_mask, list(keys))
             assert reused == fresh
 
+    def test_workspace_rejects_per_vertex_join_weights(self, g6):
+        # one join weight per graph vertex is not one key per candidate
+        with pytest.raises(ValueError, match="keys"):
+            ColoringWorkspace(g6).run(0b111, [0] * g6.n)
+
 
 def _best_weight_containing(g, v, allowed_mask, join):
     """Exact best join-plus-edge weight over cliques that contain v and

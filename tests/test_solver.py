@@ -44,7 +44,7 @@ class TestValidation:
         ("node_limit", 2.5),
         ("node_limit", True),
         ("use_coloring_bound", "no"),
-        ("bound", "exact"),
+        ("use_initial_solution", "no"),
     ])
     def test_rejects_bad_field(self, g6, field, value):
         with pytest.raises(ValueError, match=field):
@@ -182,14 +182,14 @@ def test_determinism():
     assert len({r.iterations for r in runs}) == 1
 
 
-def _reference_solve(g, look_ahead=False):
+def _reference_solve(g):
     """Literal, uncached transliteration of the search for trace
     comparison: join weights, clique weights and scores are recomputed
     from scratch at every node, the branch loop tests every candidate,
-    and plain lists stand in for bitmasks. With look_ahead, a branch
-    whose clique weight plus, per earlier class, the best
-    score(u) + w(p, u) over its child cannot beat the incumbent is
-    skipped without a node. Slow on purpose."""
+    and plain lists stand in for bitmasks. A branch whose clique
+    weight plus, per earlier class, the best score(u) + w(p, u) over
+    its child cannot beat the incumbent is skipped without a node.
+    Slow on purpose."""
     adj = g.adj_bits
     w = g.weight_rows
     state = {"best": 0, "iterations": 0}
@@ -238,8 +238,7 @@ def _reference_solve(g, look_ahead=False):
             if wc + upper[p] > state["best"]:
                 child = [v for v in s_members
                          if v not in branched and (adj[p] >> v) & 1]
-                if not (look_ahead and ahead(c_members, p, child, classes,
-                                             score) <= state["best"]):
+                if ahead(c_members, p, child, classes, score) > state["best"]:
                     expand(c_members + [p], child)
             branched.add(p)
 
@@ -247,44 +246,30 @@ def _reference_solve(g, look_ahead=False):
     return state["best"], state["iterations"]
 
 
-def _trace_graphs(g6):
+def test_matches_reference_implementation_node_for_node(g6):
+    # deterministic tie-breaks make the node count a trace fingerprint:
+    # any divergence in order, pruning or state maintenance shows up
     graphs = [g6] + [gen_random(8 + s % 7, (s % 3 + 1) * 0.25, 1, 10, seed=s)
                      for s in range(40)]
     graphs += [with_zero_weights(g) for g in graphs[1:11]]
     graphs.append(gen_random(14, 0.95, 1, 10, seed=0))  # density 0.956
     graphs.append(gen_random(100, 0.03, 1, 10, seed=0))  # root classes up to 49
-    return graphs
-
-
-def test_matches_reference_implementation_node_for_node(g6):
-    # deterministic tie-breaks make the node count a trace fingerprint:
-    # any divergence in order, pruning or state maintenance shows up
-    for g in _trace_graphs(g6):
-        res = solve(g, config=SolverConfig(bound="partition"))
+    for g in graphs:
+        res = solve(g)
         ref_weight, ref_iterations = _reference_solve(g)
         assert res.best_weight == ref_weight
         assert res.iterations == ref_iterations
 
 
-def test_tight_matches_reference_implementation_node_for_node(g6):
-    for g in _trace_graphs(g6):
-        res = solve(g, config=SolverConfig(bound="tight"))
-        ref_weight, ref_iterations = _reference_solve(g, look_ahead=True)
-        assert res.best_weight == ref_weight
-        assert res.iterations == ref_iterations
-
-
-def test_dimacs_partition_trace_matches_benchmark_fingerprint(data_dir):
-    # the benchmark's pipeline: auto-weighting, then a PLS warm start
+def test_dimacs_best_weights_match_benchmark_fingerprint(data_dir):
+    # the benchmark's pipeline: auto-weighting, then a PLS warm start;
+    # the fingerprint's node counts are the partition-bound search's,
+    # which the look-ahead may only lower
     pinned = json.loads(FINGERPRINT.read_text())["fingerprint"]
     assert len(pinned) == 9
     for name, want in pinned.items():
         g = apply_dimacs_weights(parse_dimacs((data_dir / f"{name}.clq").read_text()))
         warm = pls(g, PlsConfig(iterations=10, seed=0))
-        partition = solve(g, warm, SolverConfig(bound="partition"))
-        assert partition.best_weight == want["best_weight"], name
-        assert partition.iterations == want["solver.nodes"], name
-        tight = solve(g, warm, SolverConfig(bound="tight"))
-        assert tight.best_weight == partition.best_weight, name
-        assert tight.best_clique == partition.best_clique, name
-        assert tight.iterations <= partition.iterations, name
+        res = solve(g, warm)
+        assert res.best_weight == want["best_weight"], name
+        assert res.iterations <= want["solver.nodes"], name
