@@ -193,6 +193,8 @@ def _bench_pool(tasks, jobs):
 
 
 def cmd_bench(args):
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     paths = list(args.instances)
     if args.manifest:
         paths.extend(_read_manifest(args.manifest))

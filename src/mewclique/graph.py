@@ -86,11 +86,11 @@ class WeightedGraph:
         n: vertex count.
         edges: iterable of (u, v, weight) triples, 0-based, at most one
             per unordered pair. Self-loops, repeated pairs, out-of-range
-            endpoints and negative weights are rejected.
+            endpoints and negative or non-int weights are rejected.
         vertex_weights: optional per-vertex weights (length n,
-            nonnegative). Plain edge-weight instances leave these at
-            zero; the bound machinery builds intermediate graphs where
-            they are not.
+            nonnegative ints), zero by default. Only coloring_scores,
+            vertex_weighted_upper_bound and the vertex-plus-edge oracle
+            read them; solve and pls reject a graph that has any.
 
     Attributes read directly by the solver hot path:
         adj_bits: adj_bits[v] is the neighbor bitmask of v.
@@ -110,8 +110,8 @@ class WeightedGraph:
                 raise ValueError(f"self-loop on vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if w < 0:
-                raise ValueError(f"negative weight {w} on edge ({u}, {v})")
+            if type(w) is not int or w < 0:
+                raise ValueError(_weight_error(w, f"edge ({u}, {v})"))
             if (adj[u] >> v) & 1:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             adj[u] |= 1 << v
@@ -126,8 +126,8 @@ class WeightedGraph:
             if len(vertex_weights) != n:
                 raise ValueError("vertex_weights length must equal n")
             for v, w in enumerate(vertex_weights):
-                if w < 0:
-                    raise ValueError(f"negative weight {w} on vertex {v}")
+                if type(w) is not int or w < 0:
+                    raise ValueError(_weight_error(w, f"vertex {v}"))
         self.n = n
         self.m = m
         self.adj_bits = adj
@@ -193,6 +193,11 @@ class WeightedGraph:
     def _check_subset(self, s: VertexSet):
         if s.mask >> self.n:
             raise ValueError(f"vertex set {s!r} not within 0..{self.n - 1}")
+
+
+def _weight_error(w, where: str) -> str:
+    kind = "non-int" if type(w) is not int else "negative"  # bools too
+    return f"{kind} weight {w!r} on {where}"
 
 
 def is_clique(g: WeightedGraph, c: VertexSet) -> bool:

@@ -1,25 +1,23 @@
 """Exact branch-and-bound search for the maximum edge-weight clique.
 
 Each node carries the current clique C and the candidate set S of
-vertices adjacent to all of C. ``expand`` has one branch loop: it asks a
-plan for a branch order over S and a per-branch upper bound, and
-explores a branch only if clique weight plus bound strictly beats the
-incumbent. The solving plan is the coloring pass (see
-:mod:`mewclique.bounds`); enumeration is the ascending plan, which
-branches on S in index order with every bound unbounded. Candidates
-already branched on at this node are excluded from child candidate
-sets, so every clique is visited at most once. Clique weight and
-per-candidate join weights are maintained incrementally on the way down
-and rolled back on the way up; the walk that pushes a branch vertex's
-edges onto its child's join weights also packs the child's plan keys.
+vertices adjacent to all of C. ``expand`` has one branch loop: it asks
+the coloring pass (see :mod:`mewclique.bounds`) for a branch order over
+S and a per-branch upper bound, and explores a branch only if clique
+weight plus bound strictly beats the incumbent. Candidates already
+branched on at this node are excluded from child candidate sets, so
+every clique is visited at most once. Clique weight and per-candidate
+join weights are maintained incrementally on the way down and rolled
+back on the way up; the walk that pushes a branch vertex's edges onto
+its child's join weights also packs the child's keys for the pass.
 
-Under the coloring plan that walk also looks ahead. Say branch vertex p
-sits in color class C_i of this node's coloring, jw are the join
-weights, score(u) the scores of this node's pass and
-child = remaining ∩ N(p), which lies in C_0 ∪ ... ∪ C_{i-1}. A clique
-K ⊆ child extending C + p has at most one member per class, and each
-of its internal edges is charged, at the endpoint in the later class,
-to a heaviest-edge term of that endpoint's score, so
+That walk also looks ahead. Say branch vertex p sits in color class
+C_i of this node's coloring, jw are the join weights, score(u) the
+scores of this node's pass and child = remaining ∩ N(p), which lies in
+C_0 ∪ ... ∪ C_{i-1}. A clique K ⊆ child extending C + p has at most
+one member per class, and each of its internal edges is charged, at
+the endpoint in the later class, to a heaviest-edge term of that
+endpoint's score, so
 
     w(C + p + K) = w(C) + jw(p) + Σ_{u∈K} (jw(u) + w(p,u)) + w(K)
                  ≤ w(C) + jw(p) + Σ_{u∈K} (score(u) + w(p,u))
@@ -38,7 +36,6 @@ index and nothing is randomized, so a given instance and configuration
 always reproduce the same incumbent sequence and node count.
 """
 
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -54,18 +51,12 @@ class SolverConfig:
     Limits are wall-clock seconds and node counts; None means
     unlimited. assertion_level "invariants" re-derives all node state
     from scratch at every node; it is meant for tests and is orders of
-    magnitude slower. use_coloring_bound False swaps the coloring plan
-    for the ascending plan: the same branch loop then visits candidates
-    in index order with every bound plus infinity and no look-ahead, a
-    plain enumeration of all cliques (a baseline for measuring pruning,
-    not a useful solver).
+    magnitude slower.
     """
 
     time_limit: float | None = None
     node_limit: int | None = None
-    use_initial_solution: bool = True
     assertion_level: str = "off"  # "off" | "invariants"
-    use_coloring_bound: bool = True
 
     def validate(self):
         limit = self.time_limit
@@ -82,23 +73,6 @@ class SolverConfig:
                 raise ValueError("node_limit must be positive when set")
         if self.assertion_level not in ("off", "invariants"):
             raise ValueError(f"unknown assertion_level {self.assertion_level!r}")
-        for name in ("use_initial_solution", "use_coloring_bound"):
-            flag = getattr(self, name)
-            if not isinstance(flag, bool):
-                raise ValueError(f"{name} must be a bool, got {flag!r}")
-
-
-def _ascending(s_mask, keys):
-    """Enumeration plan: every candidate in ascending index order, none
-    bounded. Same shape as ``ColoringWorkspace.run``: one class holding
-    every candidate, and every score unbounded too."""
-    order = []
-    m = s_mask
-    while m:
-        b = m & -m
-        order.append(b.bit_length() - 1)
-        m ^= b
-    return order, [math.inf] * len(order), (s_mask,), dict.fromkeys(order, math.inf)
 
 
 @dataclass
@@ -141,20 +115,14 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
     adj = g.adj_bits
     rows = g.weight_rows
 
-    if cfg.use_initial_solution:
-        best_mask = c_initial.mask
-        best_w = set_weight(g, c_initial)
-    else:
-        best_mask = 0
-        best_w = 0
-    initial_w = best_w
+    best_mask = c_initial.mask
+    best_w = initial_w = set_weight(g, c_initial)
 
     # recursion depth is at most one level per clique vertex
     if sys.getrecursionlimit() < n + 512:
         sys.setrecursionlimit(n + 512)
 
-    plan = ColoringWorkspace(g).run if cfg.use_coloring_bound else _ascending
-    look_ahead = cfg.use_coloring_bound
+    plan = ColoringWorkspace(g).run
     sh = n.bit_length()  # candidate keys are join_w[v] << sh | v
     join_w = [0] * n
     members = []
@@ -239,7 +207,7 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
                     if w > top:
                         top = w
                 ahead += top
-            if not (look_ahead and ahead <= best_w):
+            if ahead > best_w:
                 members.append(p)
                 expand(child, weight_p, child_keys)
                 members.pop()

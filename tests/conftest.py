@@ -2,9 +2,15 @@ from pathlib import Path
 
 import pytest
 
-from mewclique import VertexSet, WeightedGraph, is_clique, set_weight
+from mewclique import (PlsConfig, VertexSet, WeightedGraph,
+                       apply_dimacs_weights, is_clique, parse_dimacs, pls,
+                       set_weight, solve)
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# The benchmark's dimacs9 workload: the bundled instances it solves.
+DIMACS9 = ("johnson8-2-4", "hamming6-4", "johnson8-4-4", "hamming6-2",
+           "MANN_a9", "c-fat200-1", "keller4", "brock200_2", "p_hat300-1")
 
 # Hand-checked 6-vertex sample used across the suite. Edge-only optimum
 # is {3, 4, 5} with weight 4 + 7 + 8 = 19; with the vertex weights the
@@ -27,6 +33,18 @@ def g6_vw():
 @pytest.fixture
 def data_dir():
     return DATA_DIR
+
+
+@pytest.fixture(scope="session")
+def dimacs_warm_solves():
+    """The benchmark's dimacs9 pipeline, run once per session: each
+    instance auto-weighted, warm-started by PLS (10 iterations, seed 0)
+    and solved. Maps instance name to its SolveResult."""
+    runs = {}
+    for name in DIMACS9:
+        g = apply_dimacs_weights(parse_dimacs((DATA_DIR / f"{name}.clq").read_text()))
+        runs[name] = solve(g, pls(g, PlsConfig(iterations=10, seed=0)))
+    return runs
 
 
 def with_zero_weights(g):

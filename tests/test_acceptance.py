@@ -14,11 +14,10 @@ import time
 
 import pytest
 
-from mewclique import (SolverConfig, VertexSet, WeightedGraph,
-                       apply_dimacs_weights, brute_force_mewc,
-                       brute_force_vertex_edge_mewc, coloring_scores,
-                       gen_random, is_clique, parse_dimacs, pls,
-                       seq_and_bounds, set_weight, solve,
+from mewclique import (VertexSet, WeightedGraph, apply_dimacs_weights,
+                       brute_force_mewc, brute_force_vertex_edge_mewc,
+                       coloring_scores, gen_random, is_clique, parse_dimacs,
+                       pls, seq_and_bounds, set_weight, solve,
                        vertex_weighted_upper_bound)
 
 from conftest import (DATA_DIR, SIX_EDGES, SIX_VERTEX_WEIGHTS, count_cliques,
@@ -181,21 +180,20 @@ def test_criterion_5():
 
 @criterion(6, "pruning effectiveness")
 def test_criterion_6():
-    enumeration = SolverConfig(use_coloring_bound=False)
     for seed in range(20):
         g = gen_random(40, 0.5, 1, 10, seed=9000 + seed)
         bounded = solve(g)
-        baseline = solve(g, config=enumeration)
-        assert bounded.best_weight == baseline.best_weight
-        assert baseline.iterations == count_cliques(g)
-        assert bounded.iterations <= 0.5 * baseline.iterations, \
-            f"seed {seed}: {bounded.iterations} vs {baseline.iterations}"
+        # an unbounded search visits every clique once: that is the baseline
+        baseline = count_cliques(g)
+        assert bounded.best_weight == brute_force_mewc(g, n_limit=40)[1]
+        assert bounded.iterations <= 0.5 * baseline, \
+            f"seed {seed}: {bounded.iterations} vs {baseline}"
 
 
 @criterion(7, "warm-start invariance")
-def test_criterion_7(benchmark_runs):
+def test_criterion_7(benchmark_runs, dimacs_warm_solves):
     for name, (g, cold) in benchmark_runs.items():
-        warm = solve(g, pls(g))
+        warm = dimacs_warm_solves[name]
         assert warm.best_weight == cold.best_weight, name
         assert warm.proven_optimal and cold.proven_optimal
     for g in _random_instances():

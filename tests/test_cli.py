@@ -233,6 +233,15 @@ class TestBench:
 
         assert stable(out1) == stable(out4)
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_rejects_bad_jobs(self, tmp_path, capsys, jobs):
+        # exit 1 is a usage error; argparse's 2 would read as "limit hit"
+        paths = self._make_instances(tmp_path, count=1)
+        capsys.readouterr()  # drop the gen chatter
+        assert main(["bench", str(paths[0]), "--no-pls", "--jobs", jobs]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "--jobs" in err
+
     def test_failure_rows_keep_going(self, tmp_path, capsys):
         paths = self._make_instances(tmp_path, count=2)
         missing = tmp_path / "gone.wedge"

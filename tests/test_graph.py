@@ -54,6 +54,9 @@ class TestConstruction:
     def test_rejects_negative_edge_weight(self):
         with pytest.raises(ValueError, match="negative weight"):
             WeightedGraph(3, [(0, 1, -4)])
+        for w in (2.5, True):  # the search shifts weights; a float fails there
+            with pytest.raises(ValueError, match=r"non-int weight .* edge \(0, 2\)"):
+                WeightedGraph(3, [(0, 1, 1), (0, 2, w)])
 
     def test_rejects_duplicate_edge(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -64,6 +67,9 @@ class TestConstruction:
             WeightedGraph(2, [], vertex_weights=[1])
         with pytest.raises(ValueError):
             WeightedGraph(2, [], vertex_weights=[1, -1])
+        for w in (2.5, True):
+            with pytest.raises(ValueError, match="non-int weight .* vertex 1"):
+                WeightedGraph(2, [], vertex_weights=[1, w])
 
     def test_zero_weight_edge_is_still_an_edge(self):
         g = WeightedGraph(2, [(0, 1, 0)])

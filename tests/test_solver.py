@@ -6,10 +6,10 @@ from pathlib import Path
 import pytest
 
 from mewclique import (PlsConfig, SolverConfig, VertexSet, WeightedGraph,
-                       apply_dimacs_weights, brute_force_mewc, gen_random,
-                       is_clique, parse_dimacs, pls, set_weight, solve)
+                       brute_force_mewc, gen_random, is_clique, pls,
+                       set_weight, solve)
 
-from conftest import count_cliques, with_zero_weights
+from conftest import with_zero_weights
 
 FINGERPRINT = (Path(__file__).parent.parent / "perfbench"
                / "baseline-fingerprint-dimacs9.json")
@@ -43,12 +43,18 @@ class TestValidation:
         ("time_limit", "5"),
         ("node_limit", 2.5),
         ("node_limit", True),
-        ("use_coloring_bound", "no"),
-        ("use_initial_solution", "no"),
     ])
     def test_rejects_bad_field(self, g6, field, value):
         with pytest.raises(ValueError, match=field):
             solve(g6, config=SolverConfig(**{field: value}))
+
+    @pytest.mark.parametrize("field", ["use_coloring_bound",
+                                       "use_initial_solution"])
+    def test_removed_field_fails_loudly(self, field):
+        # the search always colors, and warm-starts exactly when given
+        # c_initial; an old caller's switch must not be silently ignored
+        with pytest.raises(TypeError, match=field):
+            SolverConfig(**{field: False})
 
 
 class TestBasics:
@@ -78,12 +84,6 @@ class TestBasics:
         start = VertexSet([3, 4, 5])
         res = solve(g6, start)
         assert res.initial_weight == 19
-        assert res.best_weight == 19
-
-    def test_warm_start_can_be_ignored(self, g6):
-        res = solve(g6, VertexSet([3, 4, 5]),
-                    SolverConfig(use_initial_solution=False))
-        assert res.initial_weight == 0
         assert res.best_weight == 19
 
     def test_ties_keep_initial_incumbent(self):
@@ -124,26 +124,10 @@ class TestOracleEquivalence:
             assert cold.proven_optimal and warm.proven_optimal
 
 
-class TestEnumerationBaseline:
-    def test_matches_and_counts_cliques(self):
-        cfg = SolverConfig(use_coloring_bound=False)
-        for seed in range(10):
-            g = gen_random(14, 0.5, 1, 10, seed=seed)
-            bounded = solve(g)
-            unbounded = solve(g, config=cfg)
-            assert bounded.best_weight == unbounded.best_weight
-            # without a bound every clique becomes exactly one node
-            assert unbounded.iterations == count_cliques(g)
-            assert bounded.iterations <= unbounded.iterations
-
-
 class TestLimits:
-    @pytest.mark.parametrize("coloring", [True, False],
-                             ids=["coloring", "enumeration"])
-    def test_node_limit(self, coloring):
+    def test_node_limit(self):
         g = gen_random(30, 0.6, 1, 10, seed=1)
-        res = solve(g, config=SolverConfig(node_limit=1,
-                                           use_coloring_bound=coloring))
+        res = solve(g, config=SolverConfig(node_limit=1))
         assert not res.proven_optimal
         assert res.iterations == 1
         assert is_clique(g, res.best_clique)
@@ -163,12 +147,9 @@ class TestLimits:
         assert (capped.best_weight, capped.iterations) == \
             (free.best_weight, free.iterations)
 
-    @pytest.mark.parametrize("coloring", [True, False],
-                             ids=["coloring", "enumeration"])
-    def test_time_limit(self, coloring):
+    def test_time_limit(self):
         g = gen_random(60, 0.9, 1, 10, seed=3)
-        res = solve(g, config=SolverConfig(time_limit=0.05,
-                                           use_coloring_bound=coloring))
+        res = solve(g, config=SolverConfig(time_limit=0.05))
         assert not res.proven_optimal
         assert is_clique(g, res.best_clique)
         assert set_weight(g, res.best_clique) == res.best_weight
@@ -261,15 +242,13 @@ def test_matches_reference_implementation_node_for_node(g6):
         assert res.iterations == ref_iterations
 
 
-def test_dimacs_best_weights_match_benchmark_fingerprint(data_dir):
+def test_dimacs_best_weights_match_benchmark_fingerprint(dimacs_warm_solves):
     # the benchmark's pipeline: auto-weighting, then a PLS warm start;
     # the fingerprint's node counts are the partition-bound search's,
     # which the look-ahead may only lower
     pinned = json.loads(FINGERPRINT.read_text())["fingerprint"]
     assert len(pinned) == 9
     for name, want in pinned.items():
-        g = apply_dimacs_weights(parse_dimacs((data_dir / f"{name}.clq").read_text()))
-        warm = pls(g, PlsConfig(iterations=10, seed=0))
-        res = solve(g, warm)
+        res = dimacs_warm_solves[name]
         assert res.best_weight == want["best_weight"], name
         assert res.iterations <= want["solver.nodes"], name
