@@ -30,12 +30,14 @@ v. The scores are returned per call, so the solver can tighten that
 bound for a branch vertex p: adding p's edge to each term and taking
 the maxima only over p's neighbors colored before it gives its
 look-ahead (see :mod:`mewclique.solver`).
+Join weights belong to a search node, not to the graph: every function
+here that reads them takes them as an argument and checks each one.
 """
 
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .graph import VertexSet, WeightedGraph
+from .graph import VertexSet, WeightedGraph, checked_join_weight
 
 
 def clique_join_weight(g: WeightedGraph, clique: VertexSet, v: int) -> int:
@@ -69,13 +71,13 @@ def _check_coloring(g: WeightedGraph, coloring):
         raise ValueError("coloring does not cover every vertex")
 
 
-def coloring_scores(g: WeightedGraph, coloring) -> dict:
+def coloring_scores(g: WeightedGraph, coloring, join_weights) -> dict:
     """Per-vertex accumulated score for a given coloring.
 
-    The score of v is its vertex weight plus, for every class earlier
+    The score of v is its join weight plus, for every class earlier
     than its own, the heaviest edge from v into that class (nothing if
-    there is none). Raises ValueError unless `coloring` is a partition
-    of the vertices into independent sets.
+    there is none). Raises ValueError unless `coloring` partitions the
+    vertices into independent sets and each has an int join weight >= 0.
     """
     _check_coloring(g, coloring)
     adj = g.adj_bits
@@ -84,7 +86,7 @@ def coloring_scores(g: WeightedGraph, coloring) -> dict:
     for cls in coloring:
         for v in cls:
             row = g.weight_rows[v]
-            scores[v] = g.vertex_weights[v] + sum(
+            scores[v] = checked_join_weight(join_weights, v) + sum(
                 _heaviest_edge(row, adj[v] & prev) for prev in earlier)
         earlier.append(cls.mask)
     return scores
@@ -102,15 +104,15 @@ def _heaviest_edge(row, linked: int) -> int:
     return top
 
 
-def vertex_weighted_upper_bound(g: WeightedGraph, coloring) -> int:
-    """Upper bound on the vertex-plus-edge weight of any clique in g.
+def vertex_weighted_upper_bound(g: WeightedGraph, coloring, join_weights) -> int:
+    """Upper bound on the join-plus-edge weight of any clique in g.
 
     Sums the per-class maxima of :func:`coloring_scores`. Sound because
     a clique holds at most one vertex per independent set and each of
     its edges is charged, at the endpoint in the later class, with a
     value no smaller than its weight.
     """
-    scores = coloring_scores(g, coloring)
+    scores = coloring_scores(g, coloring, join_weights)
     return sum(max(scores[v] for v in cls) for cls in coloring)
 
 
@@ -243,7 +245,7 @@ def seq_and_bounds(g: WeightedGraph, s: VertexSet, join_weights) -> SeqAndBounds
     """Branch plan for candidate set `s` of graph `g`.
 
     join_weights maps (or indexes) every member of s to its nonnegative
-    join weight. The plan's upper[v] bounds the best achievable sum of
+    int join weight. The plan's upper[v] bounds the best achievable sum of
     join weights plus internal edge weights over cliques that contain v
     and otherwise only vertices later in the order, which is the value
     the solver's pruning test needs.
@@ -252,13 +254,7 @@ def seq_and_bounds(g: WeightedGraph, s: VertexSet, join_weights) -> SeqAndBounds
     sh = g.n.bit_length()
     keys = []
     for v in s:
-        try:
-            w = join_weights[v]
-        except (KeyError, IndexError):
-            raise ValueError(f"no join weight given for vertex {v}") from None
-        if w < 0:
-            raise ValueError(f"negative join weight {w} for vertex {v}")
-        keys.append(w << sh | v)
+        keys.append(checked_join_weight(join_weights, v) << sh | v)
     order, bounds, class_masks, score = ColoringWorkspace(g).run(s.mask, keys)
     return SeqAndBounds(
         order=order,

@@ -120,10 +120,15 @@ def _emit_report(report, fmt, stream):
             print(f"{k}: {_cell(k, report[k])}", file=stream)
 
 
+def _solve_opts(args):
+    return dict(fmt=args.format, auto_weight=args.dimacs_auto_weight,
+                unit_weights=args.unit_weights, no_pls=args.no_pls,
+                pls_iters=args.pls_iters, seed=args.seed,
+                time_limit=args.time_limit, node_limit=args.node_limit)
+
+
 def cmd_solve(args):
-    report = _run_solve(args.instance, args.format, args.dimacs_auto_weight,
-                        args.unit_weights, args.no_pls, args.pls_iters,
-                        args.seed, args.time_limit, args.node_limit)
+    report = _run_solve(args.instance, **_solve_opts(args))
     _emit_report(report, args.output, sys.stdout)
     return 0 if report["proven_optimal"] else 2
 
@@ -200,11 +205,7 @@ def cmd_bench(args):
         paths.extend(_read_manifest(args.manifest))
     if not paths:
         raise CliError("no instances given (positional paths or --manifest)")
-    opts = dict(fmt=args.format, auto_weight=args.dimacs_auto_weight,
-                unit_weights=args.unit_weights, no_pls=args.no_pls,
-                pls_iters=args.pls_iters, seed=args.seed,
-                time_limit=args.time_limit, node_limit=args.node_limit)
-    tasks = [(p, opts) for p in paths]
+    tasks = [(p, _solve_opts(args)) for p in paths]
     if args.jobs > 1:
         rows = _bench_pool(tasks, args.jobs)
     else:

@@ -1,4 +1,4 @@
-"""Simple undirected graphs with nonnegative integer weights.
+"""Simple undirected graphs with nonnegative integer edge weights.
 
 Vertices are contiguous ints 0..n-1 (instance files are 1-based; the
 parsers in :mod:`mewclique.io` shift indices at parse time). Adjacency
@@ -8,6 +8,7 @@ symmetric matrix so the bound computation reads w(u, v) with two list
 lookups.
 
 A weight of 0 on an existing edge is legal; non-edges always weigh 0.
+Vertex (join) weights are an argument of the functions that read them.
 Graphs are immutable after construction and safe to share between
 concurrent solver runs.
 """
@@ -79,33 +80,32 @@ class VertexSet:
 
 
 class WeightedGraph:
-    """Undirected graph with integer edge weights and optional vertex
-    weights, immutable after construction.
+    """Undirected graph with integer edge weights, immutable after
+    construction.
 
     Parameters:
         n: vertex count.
         edges: iterable of (u, v, weight) triples, 0-based, at most one
-            per unordered pair. Self-loops, repeated pairs, out-of-range
-            endpoints and negative or non-int weights are rejected.
-        vertex_weights: optional per-vertex weights (length n,
-            nonnegative ints), zero by default. Only coloring_scores,
-            vertex_weighted_upper_bound and the vertex-plus-edge oracle
-            read them; solve and pls reject a graph that has any.
+            per unordered pair. Self-loops, repeated pairs, non-int or
+            out-of-range endpoints and negative or non-int weights are
+            rejected.
 
     Attributes read directly by the solver hot path:
         adj_bits: adj_bits[v] is the neighbor bitmask of v.
         weight_rows: dense n x n matrix, 0 for non-edges.
     """
 
-    __slots__ = ("n", "m", "adj_bits", "weight_rows", "vertex_weights")
+    __slots__ = ("n", "m", "adj_bits", "weight_rows")
 
-    def __init__(self, n: int, edges=(), vertex_weights=None):
+    def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         adj = [0] * n
         rows = [[0] * n for _ in range(n)]
         m = 0
         for u, v, w in edges:
+            if type(u) is not int or type(v) is not int:  # bools too
+                raise ValueError(f"non-int endpoint in edge ({u!r}, {v!r})")
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -119,20 +119,10 @@ class WeightedGraph:
             rows[u][v] = w
             rows[v][u] = w
             m += 1
-        if vertex_weights is None:
-            vertex_weights = [0] * n
-        else:
-            vertex_weights = list(vertex_weights)
-            if len(vertex_weights) != n:
-                raise ValueError("vertex_weights length must equal n")
-            for v, w in enumerate(vertex_weights):
-                if type(w) is not int or w < 0:
-                    raise ValueError(_weight_error(w, f"vertex {v}"))
         self.n = n
         self.m = m
         self.adj_bits = adj
         self.weight_rows = rows
-        self.vertex_weights = vertex_weights
 
     def neighbors(self, v: int) -> VertexSet:
         """N(v) as a fresh VertexSet (no aliasing of internal state)."""
@@ -177,7 +167,6 @@ class WeightedGraph:
             and self.n == other.n
             and self.adj_bits == other.adj_bits
             and self.weight_rows == other.weight_rows
-            and self.vertex_weights == other.vertex_weights
         )
 
     def __hash__(self):
@@ -200,6 +189,18 @@ def _weight_error(w, where: str) -> str:
     return f"{kind} weight {w!r} on {where}"
 
 
+def checked_join_weight(join_weights, v: int) -> int:
+    """join_weights[v] (a mapping or a sequence); a ValueError naming v
+    unless it is present, an int (not a bool) and >= 0."""
+    try:
+        w = join_weights[v]
+    except (KeyError, IndexError):
+        raise ValueError(f"no join weight given for vertex {v}") from None
+    if type(w) is not int or w < 0:
+        raise ValueError(_weight_error(w, f"vertex {v}"))
+    return w
+
+
 def is_clique(g: WeightedGraph, c: VertexSet) -> bool:
     """True iff every pair of distinct members of c is adjacent in g.
 
@@ -215,20 +216,15 @@ def is_clique(g: WeightedGraph, c: VertexSet) -> bool:
 
 
 def set_weight(g: WeightedGraph, s: VertexSet) -> int:
-    """Total weight of the subgraph induced by s: the vertex weights of
-    its members plus the weight of every edge inside it.
-
-    For all-zero vertex weights this is the clique weight the solver
-    maximizes.
+    """Total weight of the edges inside s: for a clique, the clique
+    weight the solver maximizes.
     """
     g._check_subset(s)
-    vw = g.vertex_weights
     adj = g.adj_bits
     rows = g.weight_rows
     total = 0
     seen = 0
     for v in s:
-        total += vw[v]
         row = rows[v]
         m = adj[v] & seen  # count each internal edge at its later endpoint
         while m:

@@ -165,13 +165,7 @@ def parse_weighted_edge_list(text) -> WeightedGraph:
 
 
 def write_weighted_edge_list(g: WeightedGraph) -> str:
-    """Serialize to ``p wedge`` text, edges ascending by (i, j), 1-based.
-
-    Vertex weights have no file syntax; writing a graph that carries
-    nonzero ones is refused rather than silently dropping them.
-    """
-    if any(g.vertex_weights):
-        raise ValueError("graphs with nonzero vertex weights cannot be serialized")
+    """Serialize to ``p wedge`` text, edges ascending by (i, j), 1-based."""
     lines = [f"p wedge {g.n} {g.m}"]
     for u, v, w in g.edges():
         lines.append(f"e {u + 1} {v + 1} {w}")

@@ -6,13 +6,14 @@ extends the current one with higher-index common neighbors. Used as
 ground truth in tests and behind the CLI ``oracle`` subcommand.
 """
 
-from .graph import VertexSet, WeightedGraph
+from .graph import VertexSet, WeightedGraph, checked_join_weight
 
 DEFAULT_SIZE_LIMIT = 20
 
 
-def _best_clique(g: WeightedGraph, include_vertex_weights: bool):
-    """Return (members, weight) of a maximum-weight clique.
+def _best_clique(g: WeightedGraph, vwt):
+    """Return (members, weight) of a clique maximizing its edge weight
+    plus the vertex weights vwt[v] of its members.
 
     Enumerates every clique in lexicographic DFS order and keeps the
     first strictly better one, so ties resolve to the lexicographically
@@ -21,7 +22,6 @@ def _best_clique(g: WeightedGraph, include_vertex_weights: bool):
     n = g.n
     adj = g.adj_bits
     rows = g.weight_rows
-    vwt = g.vertex_weights if include_vertex_weights else [0] * n
     best_members = ()
     best_w = 0
     members = []
@@ -55,18 +55,17 @@ def _check_size(g, n_limit):
 def brute_force_mewc(g: WeightedGraph, n_limit: int = DEFAULT_SIZE_LIMIT):
     """Exhaustive maximum edge-weight clique; returns (VertexSet, weight).
 
-    Requires all-zero vertex weights, mirroring the solver's contract.
     Refuses instances above n_limit to keep runtimes bounded.
     """
     _check_size(g, n_limit)
-    if any(g.vertex_weights):
-        raise ValueError("edge-weight oracle requires all-zero vertex weights")
-    members, weight = _best_clique(g, include_vertex_weights=False)
+    members, weight = _best_clique(g, [0] * g.n)
     return VertexSet(members), weight
 
 
-def brute_force_vertex_edge_mewc(g: WeightedGraph,
+def brute_force_vertex_edge_mewc(g: WeightedGraph, join_weights,
                                  n_limit: int = DEFAULT_SIZE_LIMIT) -> int:
-    """Exact maximum of vertex-plus-edge weight over all cliques of g."""
+    """Exact maximum over the cliques of g of edge weight plus members'
+    join weights (join_weights maps or indexes every vertex of g)."""
     _check_size(g, n_limit)
-    return _best_clique(g, include_vertex_weights=True)[1]
+    vwt = [checked_join_weight(join_weights, v) for v in range(g.n)]
+    return _best_clique(g, vwt)[1]

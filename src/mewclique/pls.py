@@ -27,30 +27,30 @@ its weight as the initial pruning threshold.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import VertexSet, WeightedGraph, is_clique, set_weight
 
 
+# One iteration: the three phases in order, with this many search steps
+# each. Fixed: the CLI and the benchmark set only iterations and seed.
+PHASES = (("random", 50), ("penalty", 50), ("degree", 100))
+
+
 @dataclass
 class PlsConfig:
-    """Phase schedule: each iteration runs the three phases in order,
-    for the given number of search steps each."""
+    """Run length and seed: `iterations` passes through :data:`PHASES`,
+    so 200 search steps per iteration, from a `random.Random(seed)`."""
 
     iterations: int = 10
-    random_phase_len: int = 50
-    penalty_phase_len: int = 50
-    degree_phase_len: int = 100
-    seed: int = 0
+    seed: int = field(default=0, kw_only=True)  # an old PlsConfig(10, 50) fails
 
     def validate(self):
-        for name in ("iterations", "random_phase_len", "penalty_phase_len",
-                     "degree_phase_len"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            if value <= 0:
-                raise ValueError(f"{name} must be positive")
+        value = self.iterations
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"iterations must be an int, got {value!r}")
+        if value <= 0:
+            raise ValueError("iterations must be positive")
 
 
 def _bits(mask):
@@ -63,14 +63,9 @@ def _bits(mask):
 
 
 def pls(g: WeightedGraph, config: PlsConfig | None = None) -> VertexSet:
-    """Run the phased local search and return the best clique found.
-
-    g must be a plain edge-weight instance (all vertex weights zero).
-    """
+    """Run the phased local search and return the best clique found."""
     cfg = config or PlsConfig()
     cfg.validate()
-    if any(g.vertex_weights):
-        raise ValueError("edge-weight solve requires all-zero vertex weights")
     n = g.n
     if n == 0:
         return VertexSet()
@@ -102,9 +97,7 @@ def pls(g: WeightedGraph, config: PlsConfig | None = None) -> VertexSet:
         return best_v
 
     for _ in range(cfg.iterations):
-        for mode, steps in (("random", cfg.random_phase_len),
-                            ("penalty", cfg.penalty_phase_len),
-                            ("degree", cfg.degree_phase_len)):
+        for mode, steps in PHASES:
             for _ in range(steps):
                 if cand:
                     v = pick(_bits(cand), mode)

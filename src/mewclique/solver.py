@@ -96,7 +96,6 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
           config: SolverConfig | None = None) -> SolveResult:
     """Find a maximum edge-weight clique of g.
 
-    g must be a plain edge-weight instance (all vertex weights zero).
     c_initial, when given, must be a clique; it seeds the incumbent so
     pruning bites from the first node. Incumbent updates use strict
     inequality, so with a warm start the returned clique may be the
@@ -104,8 +103,6 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
     """
     cfg = config or SolverConfig()
     cfg.validate()
-    if any(g.vertex_weights):
-        raise ValueError("edge-weight solve requires all-zero vertex weights")
     if c_initial is None:
         c_initial = VertexSet()
     if not is_clique(g, c_initial):

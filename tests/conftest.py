@@ -13,8 +13,8 @@ DIMACS9 = ("johnson8-2-4", "hamming6-4", "johnson8-4-4", "hamming6-2",
            "MANN_a9", "c-fat200-1", "keller4", "brock200_2", "p_hat300-1")
 
 # Hand-checked 6-vertex sample used across the suite. Edge-only optimum
-# is {3, 4, 5} with weight 4 + 7 + 8 = 19; with the vertex weights the
-# same clique is optimal at 19 + 5 + 8 + 3 = 35.
+# is {3, 4, 5} with weight 4 + 7 + 8 = 19; with the vertex (join)
+# weights the same clique is optimal at 19 + 5 + 8 + 3 = 35.
 SIX_EDGES = [(0, 1, 1), (0, 4, 5), (1, 2, 2), (1, 4, 5),
              (2, 3, 6), (3, 4, 4), (3, 5, 7), (4, 5, 8)]
 SIX_VERTEX_WEIGHTS = [2, 6, 3, 5, 8, 3]
@@ -23,11 +23,6 @@ SIX_VERTEX_WEIGHTS = [2, 6, 3, 5, 8, 3]
 @pytest.fixture
 def g6():
     return WeightedGraph(6, SIX_EDGES)
-
-
-@pytest.fixture
-def g6_vw():
-    return WeightedGraph(6, SIX_EDGES, vertex_weights=SIX_VERTEX_WEIGHTS)
 
 
 @pytest.fixture
@@ -53,13 +48,14 @@ def with_zero_weights(g):
     return WeightedGraph(g.n, [(u, v, w % 4) for u, v, w in g.edges()])
 
 
-def dumb_best_weight(g):
-    """Max clique weight by scanning all 2^n subsets; n <= ~14 only."""
+def dumb_best_weight(g, join=None):
+    """Max clique weight, plus the members' join weights when given, by
+    scanning all 2^n subsets; n <= ~14 only."""
     best = 0
     for mask in range(1 << g.n):
         vs = VertexSet.from_mask(mask)
         if is_clique(g, vs):
-            w = set_weight(g, vs)
+            w = set_weight(g, vs) + (sum(join[v] for v in vs) if join else 0)
             if w > best:
                 best = w
     return best
@@ -84,12 +80,13 @@ def count_cliques(g):
     return count
 
 
-def induced_weighted(g, members_mask, vertex_weights):
-    """Graph on the same index space keeping only edges inside the mask,
-    with the given per-vertex weights on its members (zero elsewhere).
-    Used to hand subproblems to the brute-force oracle."""
+def induced_weighted(g, members_mask, join_weights):
+    """(graph, join weights): the graph on the same index space keeping
+    only edges inside the mask, and the given join weights on its
+    members (zero elsewhere). Used to hand subproblems to the
+    brute-force oracle."""
     edges = [(u, v, w) for u, v, w in g.edges()
              if (members_mask >> u) & 1 and (members_mask >> v) & 1]
-    vw = [vertex_weights[v] if (members_mask >> v) & 1 else 0
-          for v in range(g.n)]
-    return WeightedGraph(g.n, edges, vertex_weights=vw)
+    join = [join_weights[v] if (members_mask >> v) & 1 else 0
+            for v in range(g.n)]
+    return WeightedGraph(g.n, edges), join

@@ -76,13 +76,14 @@ def benchmark_runs():
 
 @criterion(1, "worked-example fidelity")
 def test_criterion_1():
-    g_vw = WeightedGraph(6, SIX_EDGES, vertex_weights=SIX_VERTEX_WEIGHTS)
+    g = WeightedGraph(6, SIX_EDGES)
+    join = SIX_VERTEX_WEIGHTS
     coloring = [VertexSet([0, 2, 5]), VertexSet([1, 3]), VertexSet([4])]
 
     def compute():
-        return (coloring_scores(g_vw, coloring),
-                vertex_weighted_upper_bound(g_vw, coloring),
-                brute_force_vertex_edge_mewc(g_vw))
+        return (coloring_scores(g, coloring, join),
+                vertex_weighted_upper_bound(g, coloring, join),
+                brute_force_vertex_edge_mewc(g, join))
 
     scores, bound, optimum = compute()
     assert scores == {0: 2, 1: 8, 2: 3, 3: 12, 4: 21, 5: 3}
@@ -142,7 +143,7 @@ def test_criterion_4():
             join = [rng.randint(0, 12) for _ in range(n)]
             plan = seq_and_bounds(g, VertexSet.from_mask(s_mask), join)
             exact = brute_force_vertex_edge_mewc(
-                induced_weighted(g, s_mask, join))
+                *induced_weighted(g, s_mask, join))
             if exact > plan.upper[plan.order[0]]:
                 violations += 1
             checked += 1

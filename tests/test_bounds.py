@@ -7,7 +7,7 @@ from mewclique import (ColoringWorkspace, VertexSet, WeightedGraph,
                        coloring_scores, gen_random, seq_and_bounds,
                        vertex_weighted_upper_bound)
 
-from conftest import induced_weighted, with_zero_weights
+from conftest import SIX_VERTEX_WEIGHTS, induced_weighted, with_zero_weights
 
 SIX_COLORING = [VertexSet([0, 2, 5]), VertexSet([1, 3]), VertexSet([4])]
 SIX_SCORES = {0: 2, 1: 8, 2: 3, 3: 12, 4: 21, 5: 3}
@@ -29,20 +29,30 @@ class TestCliqueJoinWeight:
 
 
 class TestColoringBound:
-    def test_sample_scores(self, g6_vw):
-        assert coloring_scores(g6_vw, SIX_COLORING) == SIX_SCORES
+    def test_sample_scores(self, g6):
+        assert coloring_scores(g6, SIX_COLORING, SIX_VERTEX_WEIGHTS) == SIX_SCORES
 
-    def test_sample_bound(self, g6_vw):
-        assert vertex_weighted_upper_bound(g6_vw, SIX_COLORING) == 36
+    def test_sample_bound(self, g6):
+        assert vertex_weighted_upper_bound(g6, SIX_COLORING,
+                                           SIX_VERTEX_WEIGHTS) == 36
 
     def test_edgeless_singletons(self):
-        g = WeightedGraph(4, [], vertex_weights=[3, 1, 4, 1])
         coloring = [VertexSet([v]) for v in range(4)]
-        assert vertex_weighted_upper_bound(g, coloring) == 9
+        assert vertex_weighted_upper_bound(WeightedGraph(4), coloring,
+                                           [3, 1, 4, 1]) == 9
 
     def test_edgeless_one_class(self):
-        g = WeightedGraph(4, [], vertex_weights=[3, 1, 4, 1])
-        assert vertex_weighted_upper_bound(g, [VertexSet(range(4))]) == 4
+        assert vertex_weighted_upper_bound(WeightedGraph(4), [VertexSet(range(4))],
+                                           [3, 1, 4, 1]) == 4
+
+    def test_rejects_bad_join_weights(self):
+        # short list, negative, float, bool: each names the vertex
+        for join, match in (([1], "no join weight .* vertex 1"),
+                            ([1, -1], "negative weight .* vertex 1"),
+                            ([1, 2.5], "non-int weight .* vertex 1"),
+                            ([1, True], "non-int weight .* vertex 1")):
+            with pytest.raises(ValueError, match=match):
+                coloring_scores(WeightedGraph(2), [VertexSet([0, 1])], join)
 
     @pytest.mark.parametrize("coloring", [
         [VertexSet([0, 1]), VertexSet([2, 3, 4, 5])],          # 0-1 adjacent
@@ -50,9 +60,9 @@ class TestColoringBound:
         [VertexSet([0, 2, 5]), VertexSet([1, 3, 5]), VertexSet([4])],  # overlap
         [VertexSet([0, 2, 5]), VertexSet(), VertexSet([1, 3, 4])],     # empty class
     ])
-    def test_rejects_bad_colorings(self, g6_vw, coloring):
+    def test_rejects_bad_colorings(self, g6, coloring):
         with pytest.raises(ValueError):
-            vertex_weighted_upper_bound(g6_vw, coloring)
+            vertex_weighted_upper_bound(g6, coloring, SIX_VERTEX_WEIGHTS)
 
     def test_dominates_exact_optimum(self):
         # soundness on random vertex-and-edge-weighted graphs, using the
@@ -62,10 +72,9 @@ class TestColoringBound:
             n = 6 + i % 9
             g = gen_random(n, rng.choice([0.3, 0.5, 0.8]), 1, 10, seed=200 + i)
             vw = [rng.randint(0, 9) for _ in range(n)]
-            gw = WeightedGraph(n, g.edges(), vertex_weights=vw)
             plan = seq_and_bounds(g, VertexSet(range(n)), vw)
-            bound = vertex_weighted_upper_bound(gw, plan.classes)
-            assert bound >= brute_force_vertex_edge_mewc(gw)
+            bound = vertex_weighted_upper_bound(g, plan.classes, vw)
+            assert bound >= brute_force_vertex_edge_mewc(g, vw)
 
 
 class TestSeqAndBounds:
@@ -96,6 +105,9 @@ class TestSeqAndBounds:
             seq_and_bounds(g6, VertexSet(range(6)), {0: 1})
         with pytest.raises(ValueError, match="negative"):
             seq_and_bounds(g6, VertexSet([0]), {0: -1})
+        for w in (2.5, True):  # a float fails the key shift; a bool reads as 1
+            with pytest.raises(ValueError, match="non-int weight .* vertex 0"):
+                seq_and_bounds(g6, VertexSet([0]), {0: w})
 
     def test_rejects_out_of_range_set(self, g6):
         with pytest.raises(ValueError):
@@ -219,8 +231,8 @@ class TestPlanProperties:
     def test_root_bound_soundness(self):
         for g, s_mask, join in self._random_subproblems(100, 14, seed=6):
             plan = seq_and_bounds(g, VertexSet.from_mask(s_mask), join)
-            sub = induced_weighted(g, s_mask, join)
-            best = brute_force_vertex_edge_mewc(sub, n_limit=100)  # sparse at 100
+            sub, sub_join = induced_weighted(g, s_mask, join)
+            best = brute_force_vertex_edge_mewc(sub, sub_join, n_limit=100)  # sparse at 100
             assert best <= plan.upper[plan.order[0]]
 
 

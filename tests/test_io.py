@@ -16,7 +16,6 @@ class TestParseDimacs:
         assert g.n == 3 and g.m == 2
         assert g.has_edge(0, 1) and g.has_edge(1, 2) and not g.has_edge(0, 2)
         assert g.edge_weight(0, 1) == 1
-        assert g.vertex_weights == [0, 0, 0]
 
     def test_isolated_vertex(self):
         g = parse_dimacs("p edge 1 0")
@@ -94,11 +93,6 @@ class TestWeightedEdgeList:
         for seed in range(100):
             g = gen_random(12, 0.4, 1, 10, seed=seed)
             assert parse_weighted_edge_list(write_weighted_edge_list(g)) == g
-
-    def test_rejects_vertex_weights(self):
-        g = WeightedGraph(2, [(0, 1, 3)], vertex_weights=[1, 0])
-        with pytest.raises(ValueError):
-            write_weighted_edge_list(g)
 
     @pytest.mark.parametrize("text", [
         "p wedge 2 1\ne 1 2 -3",     # negative weight

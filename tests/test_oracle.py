@@ -5,7 +5,7 @@ import pytest
 from mewclique import (VertexSet, WeightedGraph, brute_force_mewc,
                        brute_force_vertex_edge_mewc, gen_random)
 
-from conftest import dumb_best_weight
+from conftest import SIX_VERTEX_WEIGHTS, dumb_best_weight
 
 
 def test_sample_graph(g6):
@@ -14,8 +14,8 @@ def test_sample_graph(g6):
     assert clique == VertexSet([3, 4, 5])
 
 
-def test_sample_graph_with_vertex_weights(g6_vw):
-    assert brute_force_vertex_edge_mewc(g6_vw) == 35
+def test_sample_graph_with_vertex_weights(g6):
+    assert brute_force_vertex_edge_mewc(g6, SIX_VERTEX_WEIGHTS) == 35
 
 
 def test_triangle():
@@ -32,8 +32,7 @@ def test_edgeless():
 
 
 def test_single_weighted_vertex():
-    g = WeightedGraph(1, [], vertex_weights=[9])
-    assert brute_force_vertex_edge_mewc(g) == 9
+    assert brute_force_vertex_edge_mewc(WeightedGraph(1), [9]) == 9
 
 
 def test_tie_break_is_lexicographic():
@@ -48,14 +47,18 @@ def test_rejects_large_instances():
     with pytest.raises(ValueError, match="too large"):
         brute_force_mewc(g)
     with pytest.raises(ValueError, match="too large"):
-        brute_force_vertex_edge_mewc(g)
+        brute_force_vertex_edge_mewc(g, [0] * g.n)
     assert brute_force_mewc(g, n_limit=25)[1] == 0
 
 
-def test_rejects_vertex_weights_in_edge_only_mode():
-    g = WeightedGraph(2, [(0, 1, 3)], vertex_weights=[1, 0])
-    with pytest.raises(ValueError):
-        brute_force_mewc(g)
+def test_rejects_bad_join_weights():
+    # short list, negative, float, bool: each names the vertex
+    for join, match in (([1], "no join weight .* vertex 1"),
+                        ([1, -1], "negative weight .* vertex 1"),
+                        ([1, 2.5], "non-int weight .* vertex 1"),
+                        ([1, True], "non-int weight .* vertex 1")):
+        with pytest.raises(ValueError, match=match):
+            brute_force_vertex_edge_mewc(WeightedGraph(2), join)
 
 
 def test_agrees_with_subset_scan():
@@ -71,6 +74,5 @@ def test_vertex_weighted_agrees_with_subset_scan():
     for i in range(30):
         n = 4 + i % 9
         g = gen_random(n, rng.choice([0.2, 0.5, 0.8]), 1, 10, seed=400 + i)
-        gw = WeightedGraph(n, g.edges(),
-                           vertex_weights=[rng.randint(0, 9) for _ in range(n)])
-        assert brute_force_vertex_edge_mewc(gw) == dumb_best_weight(gw)
+        join = [rng.randint(0, 9) for _ in range(n)]
+        assert brute_force_vertex_edge_mewc(g, join) == dumb_best_weight(g, join)

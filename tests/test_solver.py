@@ -19,11 +19,6 @@ TWO_TRIANGLES = [(0, 1, 2), (0, 2, 2), (1, 2, 2),
 
 
 class TestValidation:
-    def test_rejects_vertex_weights(self):
-        g = WeightedGraph(2, [(0, 1, 3)], vertex_weights=[1, 0])
-        with pytest.raises(ValueError, match="vertex weights"):
-            solve(g)
-
     def test_rejects_non_clique_start(self, g6):
         with pytest.raises(ValueError, match="not a clique"):
             solve(g6, VertexSet([0, 2]))
