@@ -179,12 +179,10 @@ class ColoringWorkspace:
         adjacent to it, by maximality) absorbs its heaviest edge into
         that class and only the leftovers, nearly sorted, are re-sorted.
 
-        ``weight_rows`` must be dense with 0 for non-edges and all
-        weights >= 0: the heaviest edge into a class of up to
-        _SCAN_MAX_CLASS members is then the plain max of ``rows[v][u]``
-        over them, with no adjacency test. Weight storage that scales
-        with m (ROADMAP item 5) must keep an O(1) ``rows[v][u]`` lookup
-        or change this scan.
+        Every ``weight_rows`` row reads 0 at a non-edge (a list cell or
+        a missing neighbor key) and all weights are >= 0: the heaviest
+        edge into a class of up to _SCAN_MAX_CLASS members is then the
+        plain max of ``rows[v][u]`` over them, with no adjacency test.
         """
         adj = self.graph.adj_bits
         rows = self.graph.weight_rows

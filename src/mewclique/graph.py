@@ -3,9 +3,10 @@
 Vertices are contiguous ints 0..n-1 (instance files are 1-based; the
 parsers in :mod:`mewclique.io` shift indices at parse time). Adjacency
 is stored as one int bitmask per vertex, so candidate-set operations in
-the search are single big-int ANDs; edge weights live in a dense
-symmetric matrix so the bound computation reads w(u, v) with two list
-lookups.
+the search are single big-int ANDs. Edge weights live in one row per
+vertex, so the bound computation reads w(u, v) as ``rows[u][v]``: a
+list of n weights on a dense graph, a dict keyed by neighbor on a
+sparse one, so that memory grows with n + m there, not with n².
 
 A weight of 0 on an existing edge is legal; non-edges always weigh 0.
 Vertex (join) weights are an argument of the functions that read them.
@@ -28,6 +29,8 @@ class VertexSet:
     def __init__(self, members: Iterable[int] = ()):
         mask = 0
         for v in members:
+            if type(v) is not int:  # bools too
+                raise ValueError(f"non-int vertex index {v!r}")
             if v < 0:
                 raise ValueError(f"vertex index must be nonnegative, got {v}")
             mask |= 1 << v
@@ -79,6 +82,21 @@ class VertexSet:
         return f"VertexSet({list(self)})"
 
 
+# Weight rows are dicts once n² list cells outnumber the n + 2m row
+# entries by this factor: a dict entry costs several list cells, and a
+# dict read is slower than a list read.
+_SPARSE_RATIO = 64
+
+
+class _SparseRow(dict):
+    """A weight row keyed by neighbor; a missing key reads as 0."""
+
+    __slots__ = ()
+    # a C-level callable, 0 * v == 0: a Python def made PLS ~9% slower
+    # on n = 3000, density 0.005 graphs
+    __missing__ = staticmethod((0).__mul__)
+
+
 class WeightedGraph:
     """Undirected graph with integer edge weights, immutable after
     construction.
@@ -92,7 +110,9 @@ class WeightedGraph:
 
     Attributes read directly by the solver hot path:
         adj_bits: adj_bits[v] is the neighbor bitmask of v.
-        weight_rows: dense n x n matrix, 0 for non-edges.
+        weight_rows: weight_rows[u][v] is w(u, v), 0 for non-edges and
+            u == v. A row is a list of n ints, or a neighbor-keyed dict
+            when n * n > _SPARSE_RATIO * (n + 2m); readers only index.
     """
 
     __slots__ = ("n", "m", "adj_bits", "weight_rows")
@@ -101,7 +121,11 @@ class WeightedGraph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         adj = [0] * n
-        rows = [[0] * n for _ in range(n)]
+        # rows are dicts while n * n > _SPARSE_RATIO * (n + 2m), that is
+        # while m < dense_at, and lists from then on, so the edges are
+        # read once, as they come
+        dense_at = -(-(n * n - _SPARSE_RATIO * n) // (2 * _SPARSE_RATIO))
+        rows = [_SparseRow() if dense_at > 0 else [0] * n for _ in range(n)]
         m = 0
         for u, v, w in edges:
             if type(u) is not int or type(v) is not int:  # bools too
@@ -119,6 +143,8 @@ class WeightedGraph:
             rows[u][v] = w
             rows[v][u] = w
             m += 1
+            if m == dense_at:
+                rows = [_list_row(row, n) for row in rows]
         self.n = n
         self.m = m
         self.adj_bits = adj
@@ -176,12 +202,21 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, m={self.m})"
 
     def _check_vertex(self, v: int):
+        if type(v) is not int:  # bools too
+            raise ValueError(f"non-int vertex {v!r}")
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
 
     def _check_subset(self, s: VertexSet):
         if s.mask >> self.n:
             raise ValueError(f"vertex set {s!r} not within 0..{self.n - 1}")
+
+
+def _list_row(row: dict, n: int) -> list:
+    out = [0] * n
+    for v, w in row.items():
+        out[v] = w
+    return out
 
 
 def _weight_error(w, where: str) -> str:

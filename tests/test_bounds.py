@@ -167,14 +167,15 @@ class TestPlanProperties:
             join = [rng.randint(0, 12) for _ in range(n)]
             yield g, s_mask, join
         # then weight-0 edges, one dense graph (density 0.956) whole, and
-        # three sparse ones whose biggest classes (up to ~50 members) are
-        # scanned edge by edge instead of member by member
+        # four sparse ones whose biggest classes (up to ~50 members) are
+        # scanned edge by edge instead of member by member; the last
+        # (n = 300) is stored as neighbor-keyed weight rows
         for i in range(count // 5):
             n = 3 + i % (max_n - 2)
             g = with_zero_weights(gen_random(n, rng.choice([0.5, 0.8]), 1, 10, seed=i))
             yield g, rng.randrange(1, 1 << n), [rng.randint(0, 12) for _ in range(n)]
         for n, density, g_seed in [(14, 0.95, 0), (100, 0.03, 0), (100, 0.03, 1),
-                                   (100, 0.03, 2)]:
+                                   (100, 0.03, 2), (300, 0.01, 0)]:
             yield (gen_random(n, density, 1, 10, seed=g_seed), (1 << n) - 1,
                    [rng.randint(0, 12) for _ in range(n)])
 
@@ -232,7 +233,7 @@ class TestPlanProperties:
         for g, s_mask, join in self._random_subproblems(100, 14, seed=6):
             plan = seq_and_bounds(g, VertexSet.from_mask(s_mask), join)
             sub, sub_join = induced_weighted(g, s_mask, join)
-            best = brute_force_vertex_edge_mewc(sub, sub_join, n_limit=100)  # sparse at 100
+            best = brute_force_vertex_edge_mewc(sub, sub_join, n_limit=300)  # sparse
             assert best <= plan.upper[plan.order[0]]
 
 

@@ -34,6 +34,10 @@ class TestVertexSet:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             VertexSet([0, -1])
+        # ints only: a bool would pass as 0/1, a float fail on the shift
+        for members in ([True, 2], [1.0], [0, 2.0]):
+            with pytest.raises(ValueError, match=r"non-int vertex index"):
+                VertexSet(members)
         with pytest.raises(ValueError):
             VertexSet.from_mask(-1)
 
@@ -119,6 +123,9 @@ class TestQueries:
         assert g6.density() == pytest.approx(16 / 30)
         assert g6.degree(4) == 4
         assert WeightedGraph(1).density() == 0.0
+        for v in (1.0, True):  # a bool would read vertex 1
+            with pytest.raises(ValueError, match=r"non-int vertex"):
+                g6.degree(v)
 
     def test_edges_ascending(self, g6):
         es = list(g6.edges())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +59,18 @@ class TestParseDimacs:
         with pytest.raises(ParseError, match="missing problem line"):
             parse_dimacs("c nothing here\n")
 
+    def test_header_only_input_stays_small(self):
+        # weight rows scale with n + m: 14 bytes of header must not buy
+        # an n x n matrix (4000 x 4000 list cells are over 120 MiB)
+        tracemalloc.start()
+        try:
+            g = parse_dimacs("p edge 4000 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 4000 and g.m == 0
+        assert peak < 4 * 2 ** 20
+
 
 class TestDimacsWeighting:
     def test_rule(self):
@@ -90,9 +104,12 @@ class TestWeightedEdgeList:
         assert parse_weighted_edge_list(write_weighted_edge_list(g6)) == g6
 
     def test_round_trip_seeded(self):
-        for seed in range(100):
-            g = gen_random(12, 0.4, 1, 10, seed=seed)
-            assert parse_weighted_edge_list(write_weighted_edge_list(g)) == g
+        graphs = [gen_random(12, 0.4, 1, 10, seed=seed) for seed in range(100)]
+        # n = 300 at density 0.01 is stored as neighbor-keyed weight rows
+        for g in graphs + [gen_random(300, 0.01, 1, 10, seed=7)]:
+            text = write_weighted_edge_list(g)
+            h = parse_weighted_edge_list(text)
+            assert h == g and write_weighted_edge_list(h) == text
 
     @pytest.mark.parametrize("text", [
         "p wedge 2 1\ne 1 2 -3",     # negative weight

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from mewclique import (PlsConfig, SolverConfig, VertexSet, WeightedGraph,
-                       brute_force_mewc, gen_random, is_clique, pls,
+                       brute_force_mewc, gen_random, graph, is_clique, pls,
                        set_weight, solve)
 
 from conftest import with_zero_weights
@@ -165,9 +165,12 @@ def _reference_solve(g):
     and plain lists stand in for bitmasks. A branch whose clique
     weight plus, per earlier class, the best score(u) + w(p, u) over
     its child cannot beat the incumbent is skipped without a node.
-    Slow on purpose."""
+    Slow on purpose. Join weights and scores read a dense matrix
+    rebuilt from g.edges(), not the graph's weight rows."""
     adj = g.adj_bits
-    w = g.weight_rows
+    w = [[0] * g.n for _ in range(g.n)]
+    for u, v, wt in g.edges():
+        w[u][v] = w[v][u] = wt
     state = {"best": 0, "iterations": 0}
 
     def weight_of(members):
@@ -230,11 +233,36 @@ def test_matches_reference_implementation_node_for_node(g6):
     graphs += [with_zero_weights(g) for g in graphs[1:11]]
     graphs.append(gen_random(14, 0.95, 1, 10, seed=0))  # density 0.956
     graphs.append(gen_random(100, 0.03, 1, 10, seed=0))  # root classes up to 49
+    graphs.append(gen_random(300, 0.01, 1, 10, seed=0))  # neighbor-keyed rows
     for g in graphs:
         res = solve(g)
         ref_weight, ref_iterations = _reference_solve(g)
         assert res.best_weight == ref_weight
         assert res.iterations == ref_iterations
+
+
+@pytest.mark.parametrize("n,density,seed,default_form", [
+    (16, 0.6, 1, list), (100, 0.03, 2, list), (300, 0.01, 0, dict)])
+def test_row_form_does_not_change_the_search(monkeypatch, n, density, seed,
+                                             default_form):
+    # the constructor alone picks list or neighbor-keyed weight rows; the
+    # same graph must read and search the same with dict rows (ratio 1,
+    # as none is complete), with the default choice (at n = 100 the rows
+    # turn from dicts into lists at the 29th edge) and with list rows
+    runs = []
+    for ratio, form in ((1, dict), (graph._SPARSE_RATIO, default_form),
+                        (1 << 40, list)):
+        monkeypatch.setattr(graph, "_SPARSE_RATIO", ratio)
+        base = gen_random(n, density, 1, 10, seed=seed)
+        seen = []
+        for g in (base, with_zero_weights(base)):
+            assert all(isinstance(row, form) for row in g.weight_rows)
+            res = solve(g, pls(g, PlsConfig(iterations=2, seed=seed)))
+            seen.append((list(g.edges()),
+                         [g.edge_weight(u, v) for u in range(n) for v in range(n)],
+                         res.best_clique, res.best_weight, res.iterations))
+        runs.append(seen)
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_dimacs_best_weights_match_benchmark_fingerprint(dimacs_warm_solves):
