@@ -6,18 +6,19 @@ the coloring pass (see :mod:`mewclique.bounds`) for a branch order over
 S and a per-branch upper bound, and explores a branch only if clique
 weight plus bound strictly beats the incumbent. Candidates already
 branched on at this node are excluded from child candidate sets, so
-every clique is visited at most once. Clique weight and per-candidate
-join weights are maintained incrementally on the way down and rolled
-back on the way up; the walk that pushes a branch vertex's edges onto
-its child's join weights also packs the child's keys for the pass.
+every clique is visited at most once. A node's whole state is in its
+arguments: the clique C as a bitmask, its weight, and one packed key
+per candidate v holding v's join weight jw(v), the edge weight between
+v and C. Nothing is shared between nodes, so nothing is rolled back:
+a child's keys are its parent's keys of the child's candidates, each
+plus its edge to the branch vertex, built in one walk over the child.
 
 That walk also looks ahead. Say branch vertex p sits in color class
-C_i of this node's coloring, jw are the join weights, score(u) the
-scores of this node's pass and child = remaining ∩ N(p), which lies in
-C_0 ∪ ... ∪ C_{i-1}. A clique K ⊆ child extending C + p has at most
-one member per class, and each of its internal edges is charged, at
-the endpoint in the later class, to a heaviest-edge term of that
-endpoint's score, so
+C_i of this node's coloring, score(u) are the scores of this node's
+pass and child = remaining ∩ N(p), which lies in C_0 ∪ ... ∪ C_{i-1}.
+A clique K ⊆ child extending C + p has at most one member per class,
+and each of its internal edges is charged, at the endpoint in the later
+class, to a heaviest-edge term of that endpoint's score, so
 
     w(C + p + K) = w(C) + jw(p) + Σ_{u∈K} (jw(u) + w(p,u)) + w(K)
                  ≤ w(C) + jw(p) + Σ_{u∈K} (score(u) + w(p,u))
@@ -120,9 +121,8 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
         sys.setrecursionlimit(n + 512)
 
     plan = ColoringWorkspace(g).run
-    sh = n.bit_length()  # candidate keys are join_w[v] << sh | v
-    join_w = [0] * n
-    members = []
+    sh = n.bit_length()  # candidate keys are jw(v) << sh | v
+    low = (1 << sh) - 1
     iterations = 0
     aborted = False
     node_limit = cfg.node_limit
@@ -131,25 +131,17 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
     start = time.perf_counter()
     deadline = start + cfg.time_limit if cfg.time_limit is not None else None
 
-    def verify_node(s_mask, weight_c, keys):
-        cmask = 0
-        for u in members:
-            cmask |= 1 << u
+    def verify_node(s_mask, weight_c, keys, cmask):
         cset = VertexSet.from_mask(cmask)
         assert is_clique(g, cset), "current members are not a clique"
         assert weight_c == set_weight(g, cset), "incremental weight drifted"
         expected = []
-        m = s_mask
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
+        for v in VertexSet.from_mask(s_mask):
             assert adj[v] & cmask == cmask, "candidate misses a clique member"
-            assert join_w[v] == sum(rows[v][u] for u in members), "stale join weight"
-            expected.append(join_w[v] << sh | v)
+            expected.append(sum(rows[v][u] for u in cset) << sh | v)
         assert sorted(keys) == sorted(expected), "stale plan keys"
 
-    def expand(s_mask, weight_c, keys):
+    def expand(s_mask, weight_c, keys, cmask):
         nonlocal iterations, aborted, best_mask, best_w, heaviest_seen
         if node_limit is not None and iterations >= node_limit:
             aborted = True
@@ -159,29 +151,28 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
             return
         iterations += 1
         if checking:
-            verify_node(s_mask, weight_c, keys)
+            verify_node(s_mask, weight_c, keys, cmask)
             if weight_c > heaviest_seen:
                 heaviest_seen = weight_c
         if not s_mask:
             if weight_c > best_w:
                 best_w = weight_c
-                mask = 0
-                for u in members:
-                    mask |= 1 << u
-                best_mask = mask
+                best_mask = cmask
             return
         order, ubs, classes, score = plan(s_mask, keys)
+        if weight_c + ubs[0] <= best_w:
+            return  # a dead end: bounds are non-increasing along the order
+        key = dict(zip(map(low.__and__, keys), keys))  # v -> its key
         remaining = s_mask
         for p, ub in zip(order, ubs):
             if weight_c + ub <= best_w:
-                break  # bounds are non-increasing along the order
+                break
             child = remaining & adj[p]
             row = rows[p]
-            weight_p = weight_c + join_w[p]
-            # push p's edges onto the child's join weights and pack its
-            # keys; child lies in classes before p's, and per class the
-            # best score(v) + w(p, v) adds to the look-ahead bound
-            pushed = []
+            weight_p = weight_c + (key[p] >> sh)
+            # pack the child's keys; child lies in classes before p's,
+            # and per class the best score(v) + w(p, v) adds to the
+            # look-ahead bound
             child_keys = []
             ahead = weight_p
             rest = child
@@ -196,25 +187,18 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
                     v = b.bit_length() - 1
                     m ^= b
                     w = row[v]
-                    jv = join_w[v] + w
-                    join_w[v] = jv
-                    pushed.append(v)
-                    child_keys.append(jv << sh | v)
+                    child_keys.append(key[v] + (w << sh))
                     w += score[v]
                     if w > top:
                         top = w
                 ahead += top
             if ahead > best_w:
-                members.append(p)
-                expand(child, weight_p, child_keys)
-                members.pop()
-            for v in pushed:
-                join_w[v] -= row[v]
-            if aborted:
-                return
+                expand(child, weight_p, child_keys, cmask | 1 << p)
+                if aborted:
+                    return
             remaining ^= 1 << p
 
-    expand((1 << n) - 1 if n else 0, 0, list(range(n)))
+    expand((1 << n) - 1 if n else 0, 0, list(range(n)), 0)
     elapsed = time.perf_counter() - start
 
     result = VertexSet.from_mask(best_mask)

@@ -90,6 +90,24 @@ class TestDimacsWeighting:
         assert all(1 <= w <= 200 for _, _, w in once.edges())
 
 
+# (text, 1-based line of the error, None when no line is at fault)
+WEDGE_ERRORS = [
+    ("p wedge 2 1\ne 1 2 -3", 2),     # negative weight
+    ("p wedge 2 1\ne 1 2 x", 2),      # malformed token
+    ("p wedge 2 1\ne 1 3 1", 2),      # out of range
+    ("p wedge 2 1\ne 1 1 1", 2),      # self-loop
+    ("p wedge 2 2\ne 1 2 1\ne 2 1 5", 3),  # duplicate edge
+    ("p edge 2 1\ne 1 2 1", 1),       # wrong header tag
+    ("p wedge 11 1\ne 1_0 2 1", 2),   # underscore digit grouping
+    ("p wedge 2 1\ne 1 2 \u0662", 2),  # non-ASCII (Arabic-Indic) digit
+    ("e 1 2 1\np wedge 2 1", 1),      # edge before header
+    ("p wedge 2 1\np wedge 2 1\ne 1 2 1", 2),  # duplicate header
+    ("p wedge 2 1\ne 1 2", 2),        # short edge line
+    ("p wedge 2 1\nq 1 2 1", 2),      # unknown line type
+    ("c nothing here\n", None),       # missing header
+]
+
+
 class TestWeightedEdgeList:
     def test_write_sample(self, g6):
         text = write_weighted_edge_list(g6)
@@ -111,19 +129,14 @@ class TestWeightedEdgeList:
             h = parse_weighted_edge_list(text)
             assert h == g and write_weighted_edge_list(h) == text
 
-    @pytest.mark.parametrize("text", [
-        "p wedge 2 1\ne 1 2 -3",     # negative weight
-        "p wedge 2 1\ne 1 2 x",      # malformed token
-        "p wedge 2 1\ne 1 3 1",      # out of range
-        "p wedge 2 1\ne 1 1 1",      # self-loop
-        "p wedge 2 2\ne 1 2 1\ne 2 1 5",  # duplicate edge
-        "p edge 2 1\ne 1 2 1",       # wrong header tag
-        "p wedge 11 1\ne 1_0 2 1",   # underscore digit grouping
-        "p wedge 2 1\ne 1 2 \u0662",  # non-ASCII (Arabic-Indic) digit
-    ])
-    def test_errors(self, text):
-        with pytest.raises(ParseError):
+    @pytest.mark.parametrize("text,line", WEDGE_ERRORS,
+                             ids=[text for text, _ in WEDGE_ERRORS])
+    def test_errors(self, text, line):
+        with pytest.raises(ParseError) as exc:
             parse_weighted_edge_list(text)
+        assert exc.value.line == line
+        if line is not None:
+            assert f"line {line}" in str(exc.value)
 
 
 class TestGenRandom:

@@ -105,10 +105,16 @@ class TestOracleEquivalence:
 
     def test_with_invariant_checks(self):
         cfg = SolverConfig(assertion_level="invariants")
-        for seed in range(10):
-            g = gen_random(10, 0.5, 1, 10, seed=seed)
-            res = solve(g, config=cfg)
-            assert res.best_weight == brute_force_mewc(g)[1]
+        graphs = [gen_random(10, 0.5, 1, 10, seed=seed) for seed in range(10)]
+        graphs += [with_zero_weights(g) for g in graphs[:5]]
+        sparse = gen_random(300, 0.01, 1, 10, seed=0)
+        assert all(isinstance(row, dict) for row in sparse.weight_rows)
+        graphs.append(sparse)
+        for seed, g in enumerate(graphs):
+            want = brute_force_mewc(g, n_limit=g.n)[1]
+            for start in (None, pls(g, PlsConfig(iterations=2, seed=seed))):
+                res = solve(g, start, cfg)
+                assert res.proven_optimal and res.best_weight == want
 
     def test_warm_start_neutrality(self):
         for seed in range(20):
@@ -265,6 +271,15 @@ def test_row_form_does_not_change_the_search(monkeypatch, n, density, seed,
     assert runs[0] == runs[1] == runs[2]
 
 
+# Nodes of the look-ahead search after the benchmark's warm start
+# (89,314 in all): a change that claims no algorithm change keeps them.
+DIMACS_WARM_NODES = {
+    "johnson8-2-4": 28, "hamming6-4": 105, "johnson8-4-4": 309,
+    "hamming6-2": 32, "MANN_a9": 28192, "c-fat200-1": 12,
+    "keller4": 44405, "brock200_2": 13168, "p_hat300-1": 3063,
+}
+
+
 def test_dimacs_best_weights_match_benchmark_fingerprint(dimacs_warm_solves):
     # the benchmark's pipeline: auto-weighting, then a PLS warm start;
     # the fingerprint's node counts are the partition-bound search's,
@@ -275,3 +290,4 @@ def test_dimacs_best_weights_match_benchmark_fingerprint(dimacs_warm_solves):
         res = dimacs_warm_solves[name]
         assert res.best_weight == want["best_weight"], name
         assert res.iterations <= want["solver.nodes"], name
+        assert res.iterations == DIMACS_WARM_NODES[name], name
