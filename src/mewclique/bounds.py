@@ -57,10 +57,10 @@ def clique_join_weight(g: WeightedGraph, clique: VertexSet, v: int) -> int:
 def _check_coloring(g: WeightedGraph, coloring):
     union = 0
     for idx, cls in enumerate(coloring):
+        g._check_subset(cls)
         cmask = cls.mask
         if cmask == 0:
             raise ValueError(f"color class {idx} is empty")
-        g._check_subset(cls)
         if cmask & union:
             raise ValueError(f"color class {idx} overlaps an earlier class")
         for v in cls:

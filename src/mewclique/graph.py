@@ -208,6 +208,8 @@ class WeightedGraph:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
 
     def _check_subset(self, s: VertexSet):
+        if not isinstance(s, VertexSet):
+            raise TypeError(f"expected a VertexSet, got {type(s).__name__}")
         if s.mask >> self.n:
             raise ValueError(f"vertex set {s!r} not within 0..{self.n - 1}")
 

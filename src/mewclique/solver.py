@@ -26,11 +26,20 @@ class, to a heaviest-edge term of that endpoint's score, so
                  ≤ w(C) + score(p) + Σ_{j<i} max_{u∈C_j} score(u),
 
 the last line being p's partition bound (score(p) is jw(p) plus p's
-heaviest edge into each earlier class). When the third line is at most
-the incumbent the child cannot improve it and is skipped without a
-node. Every skipped subtree holds no clique heavier than the
-incumbent, so the look-ahead changes node counts, never best weights or
-the incumbent sequence.
+heaviest edge into each earlier class). The walk tightens the third
+line. Per class C_j let T_j ≥ S_j be the two largest score(u) + w(p,u)
+over C_j ∩ child (S_j = 0 if it has one member), t_j the top vertex
+and d_j = T_j − S_j. K adds at most S_j from C_j without t_j, and
+holds at most one t_j of a group G of classes with d_j > 0 whose tops
+are pairwise non-adjacent, so G's classes add at most
+
+    Σ_{j∈G} T_j − (Σ_{j∈G} d_j − max_{j∈G} d_j).
+
+Classes join groups greedily by decreasing d, each joiner subtracting
+its d_j; disjoint groups' savings add, and when the result is at most
+the incumbent the child is skipped without a node. Every skipped
+subtree holds no clique heavier than the incumbent, so the look-ahead
+changes node counts, never best weights or the incumbent sequence.
 
 The search is deterministic: ties in the coloring are broken by vertex
 index and nothing is randomized, so a given instance and configuration
@@ -172,16 +181,18 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
             weight_p = weight_c + (key[p] >> sh)
             # pack the child's keys; child lies in classes before p's,
             # and per class the best score(v) + w(p, v) adds to the
-            # look-ahead bound
+            # look-ahead bound, less the grouping of the module docstring
             child_keys = []
             ahead = weight_p
             rest = child
+            tops = []  # d << sh | t per class whose top t beats the rest by d
+            d_sum = 0
             for cls in classes:
                 if not rest:
                     break
                 m = rest & cls
                 rest ^= m
-                top = 0
+                top = second = 0
                 while m:
                     b = m & -m
                     v = b.bit_length() - 1
@@ -190,8 +201,25 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
                     child_keys.append(key[v] + (w << sh))
                     w += score[v]
                     if w > top:
-                        top = w
+                        second, top, t = top, w, v
+                    elif w > second:
+                        second = w
                 ahead += top
+                if top > second:
+                    tops.append((top - second) << sh | t)
+                    d_sum += top - second
+            if best_w < ahead <= best_w + d_sum - (max(tops, default=0) >> sh):
+                tops.sort(reverse=True)
+                groups = []
+                for e in tops:
+                    t = e & low
+                    for gi, group in enumerate(groups):
+                        if not adj[t] & group:
+                            groups[gi] = group | 1 << t
+                            ahead -= e >> sh
+                            break
+                    else:
+                        groups.append(1 << t)
             if ahead > best_w:
                 expand(child, weight_p, child_keys, cmask | 1 << p)
                 if aborted:

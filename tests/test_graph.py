@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mewclique import (VertexSet, WeightedGraph, gen_random, is_clique,
-                       set_weight)
+from mewclique import (VertexSet, WeightedGraph, coloring_scores, gen_random,
+                       is_clique, set_weight, solve)
 
 from conftest import SIX_EDGES
 
@@ -112,6 +112,15 @@ class TestQueries:
     def test_is_clique_rejects_out_of_range(self, g6):
         with pytest.raises(ValueError):
             is_clique(g6, VertexSet([6]))
+
+    def test_vertex_set_arguments_must_be_vertex_sets(self, g6):
+        # a list or tuple used to die with AttributeError on .mask
+        for call in (lambda: solve(g6, [0, 1]), lambda: is_clique(g6, (0,)),
+                     lambda: set_weight(g6, [0]),
+                     lambda: coloring_scores(g6, [[0, 2, 5], [1, 3], [4]],
+                                             [0] * 6)):
+            with pytest.raises(TypeError, match="expected a VertexSet"):
+                call()
 
     def test_set_weight(self, g6):
         assert set_weight(g6, VertexSet([3, 4, 5])) == 19
