@@ -11,9 +11,9 @@ from .bounds import (ColoringWorkspace, SeqAndBounds, clique_join_weight,
                      coloring_scores, seq_and_bounds,
                      vertex_weighted_upper_bound)
 from .graph import VertexSet, WeightedGraph, is_clique, set_weight
-from .io import (InstanceHeader, ParseError, apply_dimacs_weights, gen_random,
-                 instance_format, parse_dimacs, parse_weighted_edge_list,
-                 read_header, read_instance, write_weighted_edge_list)
+from .io import (ParseError, apply_dimacs_weights, gen_random, instance_format,
+                 parse_dimacs, parse_weighted_edge_list, read_instance,
+                 write_weighted_edge_list)
 from .oracle import brute_force_mewc, brute_force_vertex_edge_mewc
 from .pls import PlsConfig, pls
 from .solver import SolveResult, SolverConfig, solve
@@ -22,7 +22,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ColoringWorkspace",
-    "InstanceHeader",
     "ParseError",
     "PlsConfig",
     "SeqAndBounds",
@@ -41,7 +40,6 @@ __all__ = [
     "parse_dimacs",
     "parse_weighted_edge_list",
     "pls",
-    "read_header",
     "read_instance",
     "seq_and_bounds",
     "set_weight",

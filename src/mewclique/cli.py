@@ -40,7 +40,7 @@ class CliError(Exception):
 def _load_instance(path, fmt, auto_weight, unit_weights):
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="latin-1")  # as io.read_instance
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     if instance_io.instance_format(path, text, fmt) == "wedge":

@@ -1,14 +1,20 @@
 """Instance file I/O and generation.
 
-Two text formats are supported:
+Two text formats are supported, both read by one parser:
 
 * DIMACS clique format (read only): ``c`` comment lines, one
   ``p edge <n> <m>`` header, ``e <i> <j>`` edge lines with 1-based
-  endpoints. Parsed graphs carry unit edge weights.
+  endpoints. Parsed graphs carry unit edge weights; a repeated edge
+  collapses into one.
 * Weighted edge list (read/write): same shape with a ``p wedge <n> <m>``
-  header and ``e <i> <j> <w>`` lines. This is this package's own
-  extension; the distinct header tag keeps plain DIMACS files from
-  being misread. Writer output is byte-deterministic for a given graph.
+  header and ``e <i> <j> <w>`` lines; a repeated edge is an error. This
+  is this package's own extension; the distinct header tag keeps plain
+  DIMACS files from being misread. Writer output is byte-deterministic.
+
+Lines end only at ``"\n"``, and only ``c`` comment lines may hold
+non-ASCII characters; ``read_instance`` decodes Latin-1, which maps every
+byte, with universal newlines. The declared vertex count is
+authoritative, the edge count unchecked (files in the wild disagree).
 
 ``apply_dimacs_weights`` attaches the conventional deterministic
 benchmark weighting to a plain DIMACS graph, and ``gen_random`` draws
@@ -16,7 +22,6 @@ seeded G(n, p) instances with uniform integer edge weights.
 """
 
 import random
-from dataclasses import dataclass
 from pathlib import Path
 
 from .graph import WeightedGraph
@@ -32,17 +37,12 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class InstanceHeader:
-    """Declared counts and format tag from a ``p`` line."""
-
-    n: int
-    m: int
-    format: str  # "plain" for `p edge`, "weighted" for `p wedge`
+_FORMAT_OF_TAG = {"edge": "dimacs", "wedge": "wedge"}
 
 
 def _content_lines(text):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # not splitlines(), which also breaks at "\x0c", "\x85" and "\u2028"
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue
@@ -55,8 +55,8 @@ def _content_lines(text):
         yield line_no, tokens
 
 
-def _parse_header(tokens, line_no) -> InstanceHeader:
-    if len(tokens) != 4 or tokens[1] not in ("edge", "wedge"):
+def _parse_header(tokens, line_no):
+    if len(tokens) != 4 or tokens[1] not in _FORMAT_OF_TAG:
         raise ParseError("expected 'p edge <n> <m>' or 'p wedge <n> <m>'", line_no)
     try:
         n, m = int(tokens[2]), int(tokens[3])
@@ -64,54 +64,54 @@ def _parse_header(tokens, line_no) -> InstanceHeader:
         raise ParseError("non-integer counts in problem line", line_no) from None
     if n < 0 or m < 0:
         raise ParseError("negative counts in problem line", line_no)
-    fmt = "plain" if tokens[1] == "edge" else "weighted"
-    return InstanceHeader(n=n, m=m, format=fmt)
+    return tokens[1], n
 
 
-def read_header(text) -> InstanceHeader:
-    """Return the first ``p`` line of an instance without parsing the body."""
-    for line_no, tokens in _content_lines(text):
-        if tokens[0] == "p":
-            return _parse_header(tokens, line_no)
-    raise ParseError("missing problem line")
-
-
-def parse_dimacs(text) -> WeightedGraph:
-    """Parse DIMACS clique text into a graph with unit edge weights.
-
-    Duplicate edge lines collapse to a single edge. The declared edge
-    count is not enforced against the body (files in the wild disagree
-    with it); the declared vertex count is authoritative.
-    """
-    header = None
-    edges = set()
+def _parse(text, tag) -> WeightedGraph:
+    """Parse instance text whose ``p`` line must carry ``tag``."""
+    weighted = tag == "wedge"
+    n = None
+    edges = {}
     for line_no, tokens in _content_lines(text):
         kind = tokens[0]
         if kind == "p":
-            if header is not None:
+            if n is not None:
                 raise ParseError("duplicate problem line", line_no)
-            header = _parse_header(tokens, line_no)
-            if header.format != "plain":
-                raise ParseError("expected 'p edge' header", line_no)
+            found, n = _parse_header(tokens, line_no)
+            if found != tag:
+                raise ParseError(f"expected 'p {tag}' header", line_no)
         elif kind == "e":
-            if header is None:
+            if n is None:
                 raise ParseError("edge line before problem line", line_no)
-            if len(tokens) != 3:
-                raise ParseError("expected 'e <i> <j>'", line_no)
+            if len(tokens) != 3 + weighted:
+                raise ParseError("expected 'e <i> <j> <w>'" if weighted
+                                 else "expected 'e <i> <j>'", line_no)
             try:
                 i, j = int(tokens[1]), int(tokens[2])
+                w = int(tokens[3]) if weighted else 1
             except ValueError:
-                raise ParseError("non-integer vertex index", line_no) from None
+                raise ParseError("non-integer token in edge line", line_no) from None
             if i == j:
                 raise ParseError(f"self-loop on vertex {i}", line_no)
-            if not (1 <= i <= header.n and 1 <= j <= header.n):
+            if not (1 <= i <= n and 1 <= j <= n):
                 raise ParseError(f"vertex index out of range in 'e {i} {j}'", line_no)
-            edges.add((min(i, j) - 1, max(i, j) - 1))
+            if w < 0:
+                raise ParseError(f"negative edge weight {w}", line_no)
+            key = (min(i, j) - 1) * n + max(i, j) - 1
+            if weighted and key in edges:
+                raise ParseError(f"duplicate edge ({i}, {j})", line_no)
+            edges[key] = w
         else:
             raise ParseError(f"unrecognized line type {kind!r}", line_no)
-    if header is None:
+    if n is None:
         raise ParseError("missing problem line")
-    return WeightedGraph(header.n, ((u, v, 1) for u, v in sorted(edges)))
+    # int keys u * n + v sort like (u, v) at less memory than tuple keys
+    return WeightedGraph(n, ((k // n, k % n, edges[k]) for k in sorted(edges)))
+
+
+def parse_dimacs(text) -> WeightedGraph:
+    """Parse DIMACS clique text into a graph with unit edge weights."""
+    return _parse(text, "edge")
 
 
 def apply_dimacs_weights(g: WeightedGraph) -> WeightedGraph:
@@ -128,40 +128,7 @@ def apply_dimacs_weights(g: WeightedGraph) -> WeightedGraph:
 
 def parse_weighted_edge_list(text) -> WeightedGraph:
     """Parse ``p wedge`` text into a weighted graph."""
-    header = None
-    edges = {}
-    for line_no, tokens in _content_lines(text):
-        kind = tokens[0]
-        if kind == "p":
-            if header is not None:
-                raise ParseError("duplicate problem line", line_no)
-            header = _parse_header(tokens, line_no)
-            if header.format != "weighted":
-                raise ParseError("expected 'p wedge' header", line_no)
-        elif kind == "e":
-            if header is None:
-                raise ParseError("edge line before problem line", line_no)
-            if len(tokens) != 4:
-                raise ParseError("expected 'e <i> <j> <w>'", line_no)
-            try:
-                i, j, w = int(tokens[1]), int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise ParseError("non-integer token in edge line", line_no) from None
-            if i == j:
-                raise ParseError(f"self-loop on vertex {i}", line_no)
-            if not (1 <= i <= header.n and 1 <= j <= header.n):
-                raise ParseError(f"vertex index out of range in 'e {i} {j}'", line_no)
-            if w < 0:
-                raise ParseError(f"negative edge weight {w}", line_no)
-            key = (min(i, j) - 1, max(i, j) - 1)
-            if key in edges:
-                raise ParseError(f"duplicate edge ({i}, {j})", line_no)
-            edges[key] = w
-        else:
-            raise ParseError(f"unrecognized line type {kind!r}", line_no)
-    if header is None:
-        raise ParseError("missing problem line")
-    return WeightedGraph(header.n, ((u, v, w) for (u, v), w in sorted(edges.items())))
+    return _parse(text, "wedge")
 
 
 def write_weighted_edge_list(g: WeightedGraph) -> str:
@@ -206,15 +173,20 @@ def instance_format(path, text, fmt=None) -> str:
     if fmt is None:
         fmt = {".clq": "dimacs", ".wedge": "wedge"}.get(Path(path).suffix.lower())
     if fmt is None:
-        fmt = "dimacs" if read_header(text).format == "plain" else "wedge"
-    if fmt not in ("dimacs", "wedge"):
+        for line_no, tokens in _content_lines(text):
+            if tokens[0] == "p":
+                fmt = _FORMAT_OF_TAG[_parse_header(tokens, line_no)[0]]
+                break
+        else:
+            raise ParseError("missing problem line")
+    if fmt not in _FORMAT_OF_TAG.values():
         raise ValueError(f"unknown instance format {fmt!r}")
     return fmt
 
 
 def read_instance(path, fmt=None) -> WeightedGraph:
     """Load an instance file in the format ``instance_format`` resolves."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="latin-1")
     if instance_format(path, text, fmt) == "dimacs":
         return parse_dimacs(text)
     return parse_weighted_edge_list(text)

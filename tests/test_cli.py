@@ -171,6 +171,32 @@ class TestSolve:
         assert main(["solve", str(bad), "--unit-weights"]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, data, code, err", [
+        ("fr.clq", b"c auteur: Fran\xe7ois\np edge 2 1\ne 1 2\n", 0, ""),
+        ("fr.clq", b"c Fran\xe7ois\np edge 2 1\ne 1 2 \xe7\n", 1, "line 3"),
+        ("none.txt", b"c no problem line\ne 1 2\n", 1, "error:"),
+        ("col.txt", b"p col 3 3\n", 1, "line 1"),
+    ], ids=["latin1-comment", "byte-outside-comment", "no-p-line", "p-col"])
+    def test_instance_bytes_and_sniffing(self, tmp_path, name, data, code, err,
+                                         capsys):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["solve", str(path), "--unit-weights"]) == code
+        assert err in capsys.readouterr().err
+
+    def test_utf8_comment_in_the_c_locale(self, tmp_path):
+        path = tmp_path / "fr.clq"
+        path.write_bytes("c auteur: François\np edge 2 1\ne 1 2\n".encode())
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mewclique", "solve", str(path),
+             "--unit-weights"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestGen:
     def test_deterministic_bytes(self, tmp_path, capsys):

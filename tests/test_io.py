@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mewclique
 from mewclique import (ParseError, VertexSet, WeightedGraph,
                        apply_dimacs_weights, gen_random, parse_dimacs,
-                       parse_weighted_edge_list, read_header, read_instance,
+                       parse_weighted_edge_list, read_instance,
                        write_weighted_edge_list)
 
 from conftest import SIX_EDGES
@@ -48,6 +49,9 @@ class TestParseDimacs:
         ("p edge 11 1\ne 1_0 2", 2),          # underscore digit grouping
         ("p edge 2 1\ne \u0662 1", 2),        # non-ASCII (Arabic-Indic) digit
         ("p edge \u0662 0", 1),                # non-ASCII digit in the header
+        ("p edge 3 1\nc x\x0cc y\ne 1 9\n", 3),  # form feed does not end a line
+        ("p edge 3 2\ne 1 2\u2028e 2 3\n", 2),    # nor does U+2028
+        ("p edge 2 1\re 1 2\n", 1),              # nor a lone carriage return
     ])
     def test_errors_carry_line_numbers(self, text, line):
         with pytest.raises(ParseError) as exc:
@@ -104,6 +108,7 @@ WEDGE_ERRORS = [
     ("p wedge 2 1\np wedge 2 1\ne 1 2 1", 2),  # duplicate header
     ("p wedge 2 1\ne 1 2", 2),        # short edge line
     ("p wedge 2 1\nq 1 2 1", 2),      # unknown line type
+    ("p wedge 3 2\ne 1 2 5\x85e 2 3 7\n", 2),  # U+0085 does not end a line
     ("c nothing here\n", None),       # missing header
 ]
 
@@ -192,10 +197,6 @@ class TestReadInstance:
         other.write_text(write_weighted_edge_list(g6))
         assert read_instance(other) == g6
 
-    def test_header_reader(self):
-        h = read_header("c x\np wedge 6 8\n")
-        assert (h.n, h.m, h.format) == (6, 8, "weighted")
-
     def test_explicit_format_wins(self, tmp_path):
         p = tmp_path / "odd.clq"
         p.write_text("p wedge 2 1\ne 1 2 7\n")
@@ -206,3 +207,33 @@ class TestReadInstance:
         p.write_text("p wedge 1 0\n")
         with pytest.raises(ValueError):
             read_instance(p, fmt="dimacs-binary")
+
+    @pytest.mark.parametrize("text,line", [
+        ("c no problem line\ne 1 2\n", None),
+        ("p col 3 3\n", 1),
+    ])
+    def test_sniff_needs_a_known_problem_line(self, tmp_path, text, line):
+        p = tmp_path / "odd.txt"
+        p.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            read_instance(p)
+        assert exc.value.line == line
+
+    def test_any_bytes_in_comments_and_any_line_ending(self, tmp_path):
+        # Latin-1 and UTF-8 bytes in comments, with a 0x85 byte that
+        # str.splitlines() would take for a line break
+        p = tmp_path / "accents.clq"
+        p.write_bytes(b"c auteur: Fran\xe7ois\x85q 1\rc Fran\xc3\xa7ois\n"
+                      b"p edge 2 1\r\ne 1 2\r")
+        assert read_instance(p) == WeightedGraph(2, [(0, 1, 1)])
+
+    def test_non_ascii_byte_outside_a_comment(self, tmp_path):
+        p = tmp_path / "accents.wedge"
+        p.write_bytes(b"c Fran\xe7ois\np wedge 2 1\ne 1 2 \xe7\n")
+        with pytest.raises(ParseError) as exc:
+            read_instance(p)
+        assert exc.value.line == 3
+
+
+def test_every_export_resolves():
+    assert [n for n in mewclique.__all__ if not hasattr(mewclique, n)] == []
