@@ -14,6 +14,7 @@ append an ``error`` column and the table ends with a TOTAL summary row.
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +22,6 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import io as instance_io
-from .graph import VertexSet, set_weight
 from .oracle import brute_force_mewc
 from .pls import PlsConfig, pls
 from .solver import SolverConfig, solve
@@ -33,24 +33,17 @@ BENCH_FIELDS = REPORT_FIELDS + ("error",)
 TIME_FIELDS = ("pls_time", "solve_time", "total_time")
 
 
-class CliError(Exception):
-    pass
-
-
 def _load_instance(path, fmt, auto_weight, unit_weights):
     path = Path(path)
-    try:
-        text = path.read_text(encoding="latin-1")  # as io.read_instance
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
+    text = path.read_text(encoding="latin-1")  # as io.read_instance
     if instance_io.instance_format(path, text, fmt) == "wedge":
         if auto_weight or unit_weights:
-            raise CliError("weighting flags only apply to DIMACS instances")
+            raise ValueError("weighting flags only apply to DIMACS instances")
         return instance_io.parse_weighted_edge_list(text)
     if auto_weight and unit_weights:
-        raise CliError("--dimacs-auto-weight and --unit-weights are mutually exclusive")
+        raise ValueError("--dimacs-auto-weight and --unit-weights are mutually exclusive")
     if not auto_weight and not unit_weights:
-        raise CliError(
+        raise ValueError(
             f"{path.name} is a plain DIMACS instance; "
             "pick --dimacs-auto-weight or --unit-weights"
         )
@@ -58,32 +51,28 @@ def _load_instance(path, fmt, auto_weight, unit_weights):
     return instance_io.apply_dimacs_weights(g) if auto_weight else g
 
 
-def _run_solve(path, fmt, auto_weight, unit_weights, no_pls, pls_iters, seed,
+def _run_solve(path, fmt, auto_weight, unit_weights, pls_iters, seed,
                time_limit, node_limit):
-    """Parse, optionally warm-start, solve; returns the report dict.
-    Both configs are validated first, so a bad limit costs no parse or
-    warm start."""
+    """Parse, warm-start unless pls_iters is 0, solve; returns the report
+    dict. Both configs are validated first, so a bad limit costs no parse
+    or warm start."""
     solver_cfg = SolverConfig(time_limit=time_limit, node_limit=node_limit)
     solver_cfg.validate()
-    pls_cfg = None if no_pls else PlsConfig(iterations=pls_iters, seed=seed)
+    pls_cfg = PlsConfig(iterations=pls_iters, seed=seed) if pls_iters else None
     if pls_cfg is not None:
         pls_cfg.validate()
     g = _load_instance(path, fmt, auto_weight, unit_weights)
-    if pls_cfg is None:
-        c_init = VertexSet()
-        lb = 0
-        pls_time = 0.0
-    else:
+    c_init, pls_time = None, 0.0
+    if pls_cfg is not None:
         t0 = time.perf_counter()
         c_init = pls(g, pls_cfg)
         pls_time = time.perf_counter() - t0
-        lb = set_weight(g, c_init)
     result = solve(g, c_init, solver_cfg)
     return {
         "instance": Path(path).stem,
         "n": g.n,
         "density": round(g.density(), 2),
-        "lb": lb,
+        "lb": result.initial_weight,
         "pls_time": round(pls_time, 3),
         "solve_time": round(result.elapsed, 3),
         "total_time": round(pls_time + result.elapsed, 3),
@@ -122,9 +111,9 @@ def _emit_report(report, fmt, stream):
 
 def _solve_opts(args):
     return dict(fmt=args.format, auto_weight=args.dimacs_auto_weight,
-                unit_weights=args.unit_weights, no_pls=args.no_pls,
-                pls_iters=args.pls_iters, seed=args.seed,
-                time_limit=args.time_limit, node_limit=args.node_limit)
+                unit_weights=args.unit_weights, pls_iters=args.pls_iters,
+                seed=args.seed, time_limit=args.time_limit,
+                node_limit=args.node_limit)
 
 
 def cmd_solve(args):
@@ -144,17 +133,15 @@ def cmd_gen(args):
 
 
 def _read_manifest(path):
+    # entries are file names: kept as the bytes the file holds, split
+    # only at b"\n" and cut only at ASCII blanks
     base = Path(path).parent
     out = []
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise CliError(f"cannot read manifest {path}: {exc}") from None
-    for raw in lines:
+    for raw in Path(path).read_bytes().split(b"\n"):
         entry = raw.strip()
-        if not entry or entry.startswith("#"):
+        if not entry or entry.startswith(b"#"):
             continue
-        p = Path(entry)
+        p = Path(os.fsdecode(entry))
         out.append(str(p if p.is_absolute() else base / p))
     return out
 
@@ -199,12 +186,12 @@ def _bench_pool(tasks, jobs):
 
 def cmd_bench(args):
     if args.jobs < 1:
-        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     paths = list(args.instances)
     if args.manifest:
         paths.extend(_read_manifest(args.manifest))
     if not paths:
-        raise CliError("no instances given (positional paths or --manifest)")
+        raise ValueError("no instances given (positional paths or --manifest)")
     tasks = [(p, _solve_opts(args)) for p in paths]
     if args.jobs > 1:
         rows = _bench_pool(tasks, args.jobs)
@@ -237,10 +224,7 @@ def cmd_bench(args):
 def cmd_oracle(args):
     g = _load_instance(args.instance, args.format, args.dimacs_auto_weight,
                        args.unit_weights)
-    try:
-        clique, weight = brute_force_mewc(g, n_limit=args.n_limit)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    clique, weight = brute_force_mewc(g, n_limit=args.n_limit)
     print(f"oracle_weight: {weight}")
     print(f"clique: {' '.join(str(v + 1) for v in clique)}")
     if args.check:
@@ -265,10 +249,10 @@ def _add_instance_flags(p):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--no-pls", action="store_true",
-                   help="skip the local-search warm start")
     p.add_argument("--pls-iters", type=int, default=10,
-                   help="warm-start iterations (default 10)")
+                   help="warm-start iterations (default 10, 0 for none)")
+    p.add_argument("--no-pls", action="store_const", const=0, dest="pls_iters",
+                   help="same as --pls-iters 0; the later of the two wins")
     p.add_argument("--seed", type=int, default=0, help="warm-start seed")
     p.add_argument("--time-limit", type=float, default=None,
                    help="seconds before giving up on optimality")
@@ -324,7 +308,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, instance_io.ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

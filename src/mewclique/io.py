@@ -12,7 +12,8 @@ Two text formats are supported, both read by one parser:
   DIMACS files from being misread. Writer output is byte-deterministic.
 
 Lines end only at ``"\n"``, and only ``c`` comment lines may hold
-non-ASCII characters; ``read_instance`` decodes Latin-1, which maps every
+non-ASCII or control characters (a tab, or a ``"\r"`` that ends the
+line, is a blank); ``read_instance`` decodes Latin-1, which maps every
 byte, with universal newlines. The declared vertex count is
 authoritative, the edge count unchecked (files in the wild disagree).
 
@@ -46,12 +47,16 @@ def _content_lines(text):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue
-        # int() would read '1_0' as 10 and an Arabic-Indic two as 2; with
-        # these refused, the int() calls below accept only ASCII digits
-        # with an optional '-'
-        if "_" in raw or "+" in raw or not raw.isascii():
-            raise ParseError("'_', '+' or a non-ASCII character outside a comment",
-                             line_no)
+        # int() would read '1_0' as 10 and an Arabic-Indic two as 2, and
+        # split() and int() take "\x0b", "\x0c", "\x1c"-"\x1f" and "\r" for
+        # blanks; so a content line holds printable ASCII bar '_' and '+',
+        # tabs and a final "\r", and the int() calls below accept only
+        # ASCII digits with an optional '-'
+        if "_" in raw or "+" in raw or not raw.isascii() or not (
+                raw.isprintable()
+                or raw.rstrip("\r").replace("\t", " ").isprintable()):
+            raise ParseError("'_', '+', a control or a non-ASCII character "
+                             "outside a comment", line_no)
         yield line_no, tokens
 
 

@@ -74,6 +74,39 @@ class TestSolve:
         assert report["lb"] == expected_lb
         assert report["best_weight"] == 19
 
+    def test_pls_iters_zero_is_no_pls(self, tiny_wedge, capsys):
+        reports = []
+        for flags in (["--pls-iters", "0"], ["--no-pls"]):
+            assert main(["solve", str(tiny_wedge), *flags,
+                         "--output", "json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        zero, no_pls = reports
+        assert zero["lb"] == no_pls["lb"] == 0
+        assert zero["pls_time"] == no_pls["pls_time"] == 0.0
+        for key in ("best_weight", "clique", "iterations"):
+            assert zero[key] == no_pls[key]
+
+    def test_negative_pls_iters(self, tiny_wedge, capsys):
+        assert main(["solve", str(tiny_wedge), "--pls-iters", "-1"]) == 1
+        assert "iterations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, warm", [
+        (["--no-pls", "--pls-iters", "2"], True),
+        (["--pls-iters", "2", "--no-pls"], False),
+    ], ids=["pls-iters-last", "no-pls-last"])
+    def test_last_warm_start_flag_wins(self, tiny_wedge, monkeypatch, flags,
+                                       warm, capsys):
+        calls = []
+        real_pls = cli.pls
+
+        def counting_pls(g, cfg):
+            calls.append(cfg.iterations)
+            return real_pls(g, cfg)
+
+        monkeypatch.setattr(cli, "pls", counting_pls)
+        assert main(["solve", str(tiny_wedge), *flags]) == 0
+        assert calls == ([2] if warm else [])
+
     def test_dimacs_auto_weight(self, data_dir, capsys):
         path = data_dir / "johnson8-2-4.clq"
         assert main(["solve", str(path), "--dimacs-auto-weight",
@@ -244,6 +277,37 @@ class TestBench:
         assert rows[0] == list(BENCH_FIELDS)
         names = [r[0] for r in rows[1:]]
         assert names == ["inst2", "inst1", "inst0", "TOTAL"]
+
+    @pytest.mark.parametrize("data, code", [
+        (b"# Fran\xe7ois\ninst0.wedge\n", 0),  # comment bytes are not decoded
+        (b"inst0.wedge\xc2\x85\n", 1),          # U+0085 is part of the name
+    ], ids=["latin1-comment", "nel-after-entry"])
+    def test_manifest_bytes(self, tmp_path, data, code, capsys):
+        self._make_instances(tmp_path, count=1)
+        manifest = tmp_path / "list.txt"
+        manifest.write_bytes(data)
+        capsys.readouterr()  # drop the gen chatter
+        assert main(["bench", "--manifest", str(manifest), "--no-pls"]) == code
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == 2
+        assert (rows[0]["error"] == "") == (code == 0)
+        assert (rows[0]["best_weight"] != "") == (code == 0)
+
+    def test_manifest_utf8_name(self, tmp_path, capsys):
+        folder = tmp_path / "donn\u00e9es"
+        folder.mkdir()
+        self._make_instances(folder, count=1)
+        manifest = tmp_path / "list.txt"
+        manifest.write_bytes("donn\u00e9es/inst0.wedge\n".encode())
+        capsys.readouterr()  # drop the gen chatter
+        assert main(["bench", "--manifest", str(manifest), "--no-pls"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [r["instance"] for r in rows] == ["inst0", "TOTAL"]
+
+    def test_missing_manifest(self, tmp_path, capsys):
+        assert main(["bench", "--manifest", str(tmp_path / "gone.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "gone.txt" in err
 
     def test_jobs_do_not_change_results(self, tmp_path):
         paths = [str(p) for p in self._make_instances(tmp_path)]

@@ -28,6 +28,10 @@ class TestParseDimacs:
         g = parse_dimacs("c hi\r\np edge 2 1\r\nc mid\r\ne 1 2\r\n")
         assert g.m == 1
 
+    def test_tabs_are_blanks(self):
+        g = parse_dimacs("p\tedge 3 1\ne\t1\t3\t\r\n")
+        assert list(g.edges()) == [(0, 2, 1)]
+
     def test_duplicate_edges_collapse(self):
         g = parse_dimacs("p edge 2 2\ne 1 2\ne 2 1\n")
         assert g.m == 1
@@ -52,6 +56,9 @@ class TestParseDimacs:
         ("p edge 3 1\nc x\x0cc y\ne 1 9\n", 3),  # form feed does not end a line
         ("p edge 3 2\ne 1 2\u2028e 2 3\n", 2),    # nor does U+2028
         ("p edge 2 1\re 1 2\n", 1),              # nor a lone carriage return
+        ("p edge 3 1\ne 1\x1f2\n", 2),           # a control is not a blank
+        ("p edge 3 1\ne\x0b1 3\n", 2),           # nor a vertical tab
+        ("p edge 3 1\ne 1\r2\n", 2),             # nor an inner carriage return
     ])
     def test_errors_carry_line_numbers(self, text, line):
         with pytest.raises(ParseError) as exc:
@@ -109,6 +116,7 @@ WEDGE_ERRORS = [
     ("p wedge 2 1\ne 1 2", 2),        # short edge line
     ("p wedge 2 1\nq 1 2 1", 2),      # unknown line type
     ("p wedge 3 2\ne 1 2 5\x85e 2 3 7\n", 2),  # U+0085 does not end a line
+    ("p wedge 2 1\ne 1 2 5\x0c\n", 2),    # form feed is not a blank
     ("c nothing here\n", None),       # missing header
 ]
 
