@@ -33,10 +33,10 @@ BENCH_FIELDS = REPORT_FIELDS + ("error",)
 TIME_FIELDS = ("pls_time", "solve_time", "total_time")
 
 
-def _load_instance(path, fmt, auto_weight, unit_weights):
+def _load_instance(path, auto_weight, unit_weights):
     path = Path(path)
     text = path.read_text(encoding="latin-1")  # as io.read_instance
-    if instance_io.instance_format(path, text, fmt) == "wedge":
+    if instance_io.instance_format(text) == "wedge":
         if auto_weight or unit_weights:
             raise ValueError("weighting flags only apply to DIMACS instances")
         return instance_io.parse_weighted_edge_list(text)
@@ -51,8 +51,8 @@ def _load_instance(path, fmt, auto_weight, unit_weights):
     return instance_io.apply_dimacs_weights(g) if auto_weight else g
 
 
-def _run_solve(path, fmt, auto_weight, unit_weights, pls_iters, seed,
-               time_limit, node_limit):
+def _run_solve(path, auto_weight, unit_weights, pls_iters, seed, time_limit,
+               node_limit):
     """Parse, warm-start unless pls_iters is 0, solve; returns the report
     dict. Both configs are validated first, so a bad limit costs no parse
     or warm start."""
@@ -61,7 +61,7 @@ def _run_solve(path, fmt, auto_weight, unit_weights, pls_iters, seed,
     pls_cfg = PlsConfig(iterations=pls_iters, seed=seed) if pls_iters else None
     if pls_cfg is not None:
         pls_cfg.validate()
-    g = _load_instance(path, fmt, auto_weight, unit_weights)
+    g = _load_instance(path, auto_weight, unit_weights)
     c_init, pls_time = None, 0.0
     if pls_cfg is not None:
         t0 = time.perf_counter()
@@ -110,7 +110,7 @@ def _emit_report(report, fmt, stream):
 
 
 def _solve_opts(args):
-    return dict(fmt=args.format, auto_weight=args.dimacs_auto_weight,
+    return dict(auto_weight=args.dimacs_auto_weight,
                 unit_weights=args.unit_weights, pls_iters=args.pls_iters,
                 seed=args.seed, time_limit=args.time_limit,
                 node_limit=args.node_limit)
@@ -192,11 +192,7 @@ def cmd_bench(args):
         paths.extend(_read_manifest(args.manifest))
     if not paths:
         raise ValueError("no instances given (positional paths or --manifest)")
-    tasks = [(p, _solve_opts(args)) for p in paths]
-    if args.jobs > 1:
-        rows = _bench_pool(tasks, args.jobs)
-    else:
-        rows = [_bench_worker(t) for t in tasks]
+    rows = _bench_pool([(p, _solve_opts(args)) for p in paths], args.jobs)
 
     total = {k: "" for k in BENCH_FIELDS}
     total["instance"] = "TOTAL"
@@ -222,7 +218,7 @@ def cmd_bench(args):
 
 
 def cmd_oracle(args):
-    g = _load_instance(args.instance, args.format, args.dimacs_auto_weight,
+    g = _load_instance(args.instance, args.dimacs_auto_weight,
                        args.unit_weights)
     clique, weight = brute_force_mewc(g, n_limit=args.n_limit)
     print(f"oracle_weight: {weight}")
@@ -238,10 +234,6 @@ def cmd_oracle(args):
 
 
 def _add_instance_flags(p):
-    p.add_argument("--format", choices=("dimacs", "wedge"),
-                   help="override format detection (default: by extension, "
-                        ".clq is DIMACS, .wedge is the weighted edge list, "
-                        "anything else by its 'p edge'/'p wedge' header)")
     p.add_argument("--dimacs-auto-weight", action="store_true",
                    help="weight DIMACS edge (i, j) as ((i + j) mod 200) + 1")
     p.add_argument("--unit-weights", action="store_true",

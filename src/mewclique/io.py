@@ -11,6 +11,9 @@ Two text formats are supported, both read by one parser:
   is this package's own extension; the distinct header tag keeps plain
   DIMACS files from being misread. Writer output is byte-deterministic.
 
+A file's ``p`` line names its format, whatever the file is called:
+``instance_format`` reads it, and ``read_instance`` parses by it.
+
 Lines end only at ``"\n"``, and only ``c`` comment lines may hold
 non-ASCII or control characters (a tab, or a ``"\r"`` that ends the
 line, is a blank); ``read_instance`` decodes Latin-1, which maps every
@@ -110,8 +113,8 @@ def _parse(text, tag) -> WeightedGraph:
             raise ParseError(f"unrecognized line type {kind!r}", line_no)
     if n is None:
         raise ParseError("missing problem line")
-    # int keys u * n + v sort like (u, v) at less memory than tuple keys
-    return WeightedGraph(n, ((k // n, k % n, edges[k]) for k in sorted(edges)))
+    # int keys u * n + v take less memory than (u, v) tuples
+    return WeightedGraph(n, ((k // n, k % n, w) for k, w in edges.items()))
 
 
 def parse_dimacs(text) -> WeightedGraph:
@@ -168,30 +171,17 @@ def gen_random(n, density, w_min=1, w_max=10, seed=0) -> WeightedGraph:
     return WeightedGraph(n, edges)
 
 
-def instance_format(path, text, fmt=None) -> str:
-    """Resolve the format of an instance file: "dimacs" or "wedge".
-
-    An explicit fmt wins; otherwise the extension decides (.clq is
-    DIMACS, .wedge is the weighted edge list), and anything else goes by
-    the header tag of ``text``.
-    """
-    if fmt is None:
-        fmt = {".clq": "dimacs", ".wedge": "wedge"}.get(Path(path).suffix.lower())
-    if fmt is None:
-        for line_no, tokens in _content_lines(text):
-            if tokens[0] == "p":
-                fmt = _FORMAT_OF_TAG[_parse_header(tokens, line_no)[0]]
-                break
-        else:
-            raise ParseError("missing problem line")
-    if fmt not in _FORMAT_OF_TAG.values():
-        raise ValueError(f"unknown instance format {fmt!r}")
-    return fmt
+def instance_format(text) -> str:
+    """The format an instance's ``p`` line names: "dimacs" or "wedge"."""
+    for line_no, tokens in _content_lines(text):
+        if tokens[0] == "p":
+            return _FORMAT_OF_TAG[_parse_header(tokens, line_no)[0]]
+    raise ParseError("missing problem line")
 
 
-def read_instance(path, fmt=None) -> WeightedGraph:
-    """Load an instance file in the format ``instance_format`` resolves."""
+def read_instance(path) -> WeightedGraph:
+    """Load an instance file in the format its ``p`` line names."""
     text = Path(path).read_text(encoding="latin-1")
-    if instance_format(path, text, fmt) == "dimacs":
+    if instance_format(text) == "dimacs":
         return parse_dimacs(text)
     return parse_weighted_edge_list(text)

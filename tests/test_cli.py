@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from mewclique import cli
 from mewclique.cli import BENCH_FIELDS, REPORT_FIELDS, main
 
 from conftest import SIX_EDGES
-from mewclique import WeightedGraph
+from mewclique import VertexSet, WeightedGraph
 
 
 @pytest.fixture
@@ -163,13 +164,27 @@ class TestSolve:
         assert main(["solve", str(path), *extra]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("suffix", [".wedge", ".txt"])
+    @pytest.mark.parametrize("suffix", [".wedge", ".txt", ".clq"])
     def test_weight_flags_rejected_for_wedge(self, tiny_wedge, suffix, capsys):
         path = tiny_wedge.rename(tiny_wedge.with_suffix(suffix))
-        assert main(["solve", str(path), "--dimacs-auto-weight"]) == 1
-        assert "error:" in capsys.readouterr().err
+        for flag in ("--dimacs-auto-weight", "--unit-weights"):
+            assert main(["solve", str(path), flag]) == 1
+            assert ("error: weighting flags only apply to DIMACS instances"
+                    in capsys.readouterr().err)
         assert main(["solve", str(path), "--no-pls"]) == 0  # needs no flag
         assert "best_weight: 19" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, text, flags, weight", [
+        ("tri.clq", "p wedge 3 3\ne 1 2 1\ne 1 3 2\ne 2 3 3\n", [], 6),
+        ("tri.wedge", "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n",
+         ["--unit-weights"], 3),
+    ], ids=["tri.clq", "tri.wedge"])
+    def test_problem_line_names_the_format(self, tmp_path, name, text, flags,
+                                           weight, capsys):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["solve", str(path), *flags, "--output", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["best_weight"] == weight
 
     def test_limits_checked_before_parse_and_warm_start(self, data_dir,
                                                         monkeypatch, capsys):
@@ -346,7 +361,8 @@ class TestBench:
 
     def test_worker_death_becomes_error_row(self, tmp_path, capsys, monkeypatch):
         # a worker killed mid-solve breaks the pool; the rows it took
-        # with it are recorded as errors and the table is still written
+        # with it are recorded as errors and the table is still written,
+        # also at --jobs 1, where the solve still runs in a worker
         paths = self._make_instances(tmp_path, count=2)
         real_run_solve = cli._run_solve
 
@@ -356,11 +372,13 @@ class TestBench:
             return real_run_solve(path, **opts)
 
         monkeypatch.setattr(cli, "_run_solve", die_on_inst1)  # forked workers inherit it
-        capsys.readouterr()  # drop the gen chatter
-        assert main(["bench", *map(str, paths), "--no-pls", "--jobs", "2"]) == 1
-        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-        assert [r["instance"] for r in rows] == ["inst0", "inst1", "TOTAL"]
-        assert "worker process died" in rows[1]["error"]
+        for jobs in ("1", "2"):
+            capsys.readouterr()  # drop the gen chatter
+            assert main(["bench", *map(str, paths), "--no-pls",
+                         "--jobs", jobs]) == 1
+            rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+            assert [r["instance"] for r in rows] == ["inst0", "inst1", "TOTAL"]
+            assert "worker process died" in rows[1]["error"]
 
     def test_limit_exit_code(self, data_dir, tmp_path):
         out = tmp_path / "r.csv"
@@ -397,6 +415,16 @@ class TestOracleCmd:
     def test_check_agrees(self, triangle_wedge, capsys):
         assert main(["oracle", str(triangle_wedge), "--check"]) == 0
         assert "solver agrees: 6" in capsys.readouterr().out
+
+    def test_check_mismatch(self, triangle_wedge, monkeypatch, capsys):
+        def lighter(g):  # the edge (1, 2) of weight 1 in place of 6
+            return dataclasses.replace(solve(g), best_clique=VertexSet([0, 1]),
+                                       best_weight=1)
+
+        monkeypatch.setattr(cli, "solve", lighter)
+        assert main(["oracle", str(triangle_wedge), "--check"]) == 1
+        assert ("mismatch: solver found 1, oracle found 6"
+                in capsys.readouterr().err)
 
     def test_check_sweep(self, tmp_path):
         for i in range(10):

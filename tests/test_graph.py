@@ -135,6 +135,9 @@ class TestQueries:
         for v in (1.0, True):  # a bool would read vertex 1
             with pytest.raises(ValueError, match=r"non-int vertex"):
                 g6.degree(v)
+        for call in (lambda: g6.degree(6), lambda: g6.edge_weight(0, 6)):
+            with pytest.raises(ValueError, match="vertex 6 out of range"):
+                call()
 
     def test_edges_ascending(self, g6):
         es = list(g6.edges())

@@ -53,6 +53,7 @@ class TestParseDimacs:
         ("p edge 11 1\ne 1_0 2", 2),          # underscore digit grouping
         ("p edge 2 1\ne \u0662 1", 2),        # non-ASCII (Arabic-Indic) digit
         ("p edge \u0662 0", 1),                # non-ASCII digit in the header
+        ("p edge -1 0\n", 1),                  # negative counts
         ("p edge 3 1\nc x\x0cc y\ne 1 9\n", 3),  # form feed does not end a line
         ("p edge 3 2\ne 1 2\u2028e 2 3\n", 2),    # nor does U+2028
         ("p edge 2 1\re 1 2\n", 1),              # nor a lone carriage return
@@ -117,6 +118,7 @@ WEDGE_ERRORS = [
     ("p wedge 2 1\nq 1 2 1", 2),      # unknown line type
     ("p wedge 3 2\ne 1 2 5\x85e 2 3 7\n", 2),  # U+0085 does not end a line
     ("p wedge 2 1\ne 1 2 5\x0c\n", 2),    # form feed is not a blank
+    ("p wedge 2 -1\n", 1),              # negative counts
     ("c nothing here\n", None),       # missing header
 ]
 
@@ -205,16 +207,20 @@ class TestReadInstance:
         other.write_text(write_weighted_edge_list(g6))
         assert read_instance(other) == g6
 
-    def test_explicit_format_wins(self, tmp_path):
+    def test_problem_line_beats_the_suffix(self, tmp_path):
         p = tmp_path / "odd.clq"
         p.write_text("p wedge 2 1\ne 1 2 7\n")
-        assert read_instance(p, fmt="wedge").edge_weight(0, 1) == 7
+        assert read_instance(p).edge_weight(0, 1) == 7
+        p = tmp_path / "odd.wedge"
+        p.write_text("p edge 2 1\ne 1 2\n")
+        assert read_instance(p) == WeightedGraph(2, [(0, 1, 1)])
 
-    def test_unknown_format(self, tmp_path):
+    def test_removed_parameter_fails_loudly(self, tmp_path):
+        # the p line is the only source of the format
         p = tmp_path / "x.wedge"
         p.write_text("p wedge 1 0\n")
-        with pytest.raises(ValueError):
-            read_instance(p, fmt="dimacs-binary")
+        with pytest.raises(TypeError, match="fmt"):
+            read_instance(p, fmt="wedge")
 
     @pytest.mark.parametrize("text,line", [
         ("c no problem line\ne 1 2\n", None),

@@ -1,6 +1,8 @@
+import inspect
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +90,19 @@ class TestBasics:
         res = solve(g, VertexSet([3, 4, 5]))
         assert res.best_weight == 6
         assert res.best_clique == VertexSet([3, 4, 5])
+
+    def test_raises_a_low_recursion_limit(self):
+        # one frame per clique vertex: K_80 needs 80 more than the caller
+        k80 = WeightedGraph(80, [(u, v, 1) for u in range(80)
+                                 for v in range(u + 1, 80)])
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+        try:
+            res = solve(k80)
+        finally:
+            sys.setrecursionlimit(old)
+        assert res.best_weight == 80 * 79 // 2 and res.proven_optimal
+        assert res.iterations == 81
 
 
 class TestOracleEquivalence:
