@@ -14,7 +14,7 @@ from .graph import VertexSet, WeightedGraph, is_clique, set_weight
 from .io import (ParseError, apply_dimacs_weights, gen_random, instance_format,
                  parse_dimacs, parse_weighted_edge_list, read_instance,
                  write_weighted_edge_list)
-from .oracle import brute_force_mewc, brute_force_vertex_edge_mewc
+from .oracle import brute_force_mewc
 from .pls import PlsConfig, pls
 from .solver import SolveResult, SolverConfig, solve
 
@@ -31,7 +31,6 @@ __all__ = [
     "WeightedGraph",
     "apply_dimacs_weights",
     "brute_force_mewc",
-    "brute_force_vertex_edge_mewc",
     "clique_join_weight",
     "coloring_scores",
     "gen_random",

@@ -22,7 +22,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import io as instance_io
-from .oracle import brute_force_mewc
+from .oracle import DEFAULT_SIZE_LIMIT, brute_force_mewc
 from .pls import PlsConfig, pls
 from .solver import SolverConfig, solve
 
@@ -289,7 +289,7 @@ def build_parser():
     p = sub.add_parser("oracle", help="brute-force a small instance")
     p.add_argument("instance")
     _add_instance_flags(p)
-    p.add_argument("--n-limit", type=int, default=20)
+    p.add_argument("--n-limit", type=int, default=DEFAULT_SIZE_LIMIT)
     p.add_argument("--check", action="store_true",
                    help="also run the solver and fail on disagreement")
     p.set_defaults(func=cmd_oracle)

@@ -1,9 +1,11 @@
-"""Brute-force reference solvers for small instances.
+"""Brute-force reference solver for small instances.
 
 Deliberately independent of the branch-and-bound: no bounds, no
 coloring, no shared search state, just a DFS over all cliques that
-extends the current one with higher-index common neighbors. Used as
-ground truth in tests and behind the CLI ``oracle`` subcommand.
+extends the current one with higher-index common neighbors. One entry
+point serves plain MEWC and, with join weights, the vertex-and-edge-
+weighted problem the bounds relax to: the tests' ground truth, and the
+CLI ``oracle`` subcommand.
 """
 
 from .graph import VertexSet, WeightedGraph, checked_join_weight
@@ -11,15 +13,23 @@ from .graph import VertexSet, WeightedGraph, checked_join_weight
 DEFAULT_SIZE_LIMIT = 20
 
 
-def _best_clique(g: WeightedGraph, vwt):
-    """Return (members, weight) of a clique maximizing its edge weight
-    plus the vertex weights vwt[v] of its members.
+def brute_force_mewc(g: WeightedGraph, join_weights=None,
+                     n_limit: int = DEFAULT_SIZE_LIMIT):
+    """Exhaustive maximum edge-weight clique; returns (VertexSet, weight).
 
-    Enumerates every clique in lexicographic DFS order and keeps the
-    first strictly better one, so ties resolve to the lexicographically
-    smallest optimal set (the empty clique, weight 0, is the baseline).
+    With join_weights (mapping or indexing every vertex of g), a clique's
+    weight also counts its members' join weights. Refuses instances above
+    n_limit to keep runtimes bounded. Enumerates every clique in
+    lexicographic DFS order and keeps the first strictly better one, so
+    ties resolve to the lexicographically smallest optimal set (the
+    empty clique, weight 0, is the baseline).
     """
     n = g.n
+    if n > n_limit:
+        raise ValueError(f"instance too large for brute force "
+                         f"({n} vertices > limit {n_limit})")
+    vwt = [0 if join_weights is None else checked_join_weight(join_weights, v)
+           for v in range(n)]
     adj = g.adj_bits
     rows = g.weight_rows
     best_members = ()
@@ -42,30 +52,4 @@ def _best_clique(g: WeightedGraph, vwt):
             members.pop()
 
     extend((1 << n) - 1 if n else 0, 0)
-    return best_members, best_w
-
-
-def _check_size(g, n_limit):
-    if g.n > n_limit:
-        raise ValueError(
-            f"instance too large for brute force ({g.n} vertices > limit {n_limit})"
-        )
-
-
-def brute_force_mewc(g: WeightedGraph, n_limit: int = DEFAULT_SIZE_LIMIT):
-    """Exhaustive maximum edge-weight clique; returns (VertexSet, weight).
-
-    Refuses instances above n_limit to keep runtimes bounded.
-    """
-    _check_size(g, n_limit)
-    members, weight = _best_clique(g, [0] * g.n)
-    return VertexSet(members), weight
-
-
-def brute_force_vertex_edge_mewc(g: WeightedGraph, join_weights,
-                                 n_limit: int = DEFAULT_SIZE_LIMIT) -> int:
-    """Exact maximum over the cliques of g of edge weight plus members'
-    join weights (join_weights maps or indexes every vertex of g)."""
-    _check_size(g, n_limit)
-    vwt = [checked_join_weight(join_weights, v) for v in range(g.n)]
-    return _best_clique(g, vwt)[1]
+    return VertexSet(best_members), best_w

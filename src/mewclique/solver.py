@@ -60,8 +60,9 @@ class SolverConfig:
 
     Limits are wall-clock seconds and node counts; None means
     unlimited. assertion_level "invariants" re-derives all node state
-    from scratch at every node; it is meant for tests and is orders of
-    magnitude slower.
+    from scratch at every node; it is meant for tests, is orders of
+    magnitude slower, and is refused under python -O, whose stripped
+    asserts would let it check nothing.
     """
 
     time_limit: float | None = None
@@ -83,6 +84,9 @@ class SolverConfig:
                 raise ValueError("node_limit must be positive when set")
         if self.assertion_level not in ("off", "invariants"):
             raise ValueError(f"unknown assertion_level {self.assertion_level!r}")
+        if self.assertion_level == "invariants" and not __debug__:
+            raise ValueError("assertion_level 'invariants' checks with assert "
+                             "statements, which python -O strips")
 
 
 @dataclass
@@ -124,10 +128,6 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
 
     best_mask = c_initial.mask
     best_w = initial_w = set_weight(g, c_initial)
-
-    # recursion depth is at most one level per clique vertex
-    if sys.getrecursionlimit() < n + 512:
-        sys.setrecursionlimit(n + 512)
 
     plan = ColoringWorkspace(g).run
     sh = n.bit_length()  # candidate keys are jw(v) << sh | v
@@ -226,7 +226,13 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
                     return
             remaining ^= 1 << p
 
-    expand((1 << n) - 1 if n else 0, 0, list(range(n)), 0)
+    # recursion depth is at most one level per clique vertex
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, n + 512))
+    try:
+        expand((1 << n) - 1 if n else 0, 0, list(range(n)), 0)
+    finally:
+        sys.setrecursionlimit(old_limit)
     elapsed = time.perf_counter() - start
 
     result = VertexSet.from_mask(best_mask)

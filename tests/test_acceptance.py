@@ -14,26 +14,14 @@ import time
 
 import pytest
 
-from mewclique import (VertexSet, WeightedGraph, apply_dimacs_weights,
-                       brute_force_mewc, brute_force_vertex_edge_mewc,
-                       coloring_scores, gen_random, is_clique, parse_dimacs,
-                       pls, seq_and_bounds, set_weight, solve,
+from mewclique import (VertexSet, WeightedGraph, brute_force_mewc,
+                       coloring_scores, gen_random, is_clique, pls,
+                       seq_and_bounds, set_weight, solve,
                        vertex_weighted_upper_bound)
 
-from conftest import (DATA_DIR, SIX_EDGES, SIX_VERTEX_WEIGHTS, count_cliques,
-                      induced_weighted)
+from conftest import (BENCHMARK_OPTIMA, SIX_EDGES, SIX_VERTEX_WEIGHTS,
+                      count_cliques, induced_weighted, load_dimacs)
 
-BENCHMARK_OPTIMA = {
-    "johnson8-2-4": 192,
-    "hamming6-4": 396,
-    "johnson8-4-4": 6552,
-    "hamming6-2": 32736,
-    "MANN_a9": 5460,
-    "c-fat200-1": 7734,
-    "keller4": 6745,
-    "brock200_2": 6542,
-    "p_hat300-1": 3321,
-}
 PER_INSTANCE_BUDGET = 120.0
 
 
@@ -51,11 +39,6 @@ def criterion(num, label):
     return deco
 
 
-def _load(name):
-    text = (DATA_DIR / f"{name}.clq").read_text()
-    return apply_dimacs_weights(parse_dimacs(text))
-
-
 def _random_instances():
     """The desk-scale random protocol: n in [8, 18], three densities,
     weights uniform in [1, 10], 300 seeded instances."""
@@ -69,7 +52,7 @@ def _random_instances():
 def benchmark_runs():
     runs = {}
     for name in BENCHMARK_OPTIMA:
-        g = _load(name)
+        g = load_dimacs(name)
         runs[name] = (g, solve(g))
     return runs
 
@@ -83,7 +66,7 @@ def test_criterion_1():
     def compute():
         return (coloring_scores(g, coloring, join),
                 vertex_weighted_upper_bound(g, coloring, join),
-                brute_force_vertex_edge_mewc(g, join))
+                brute_force_mewc(g, join)[1])
 
     scores, bound, optimum = compute()
     assert scores == {0: 2, 1: 8, 2: 3, 3: 12, 4: 21, 5: 3}
@@ -142,8 +125,7 @@ def test_criterion_4():
             s_mask = rng.randrange(1, 1 << n)
             join = [rng.randint(0, 12) for _ in range(n)]
             plan = seq_and_bounds(g, VertexSet.from_mask(s_mask), join)
-            exact = brute_force_vertex_edge_mewc(
-                *induced_weighted(g, s_mask, join))
+            exact = brute_force_mewc(*induced_weighted(g, s_mask, join))[1]
             if exact > plan.upper[plan.order[0]]:
                 violations += 1
             checked += 1
@@ -207,7 +189,7 @@ def test_criterion_7(benchmark_runs, dimacs_warm_solves):
 @criterion(8, "determinism")
 def test_criterion_8(benchmark_runs):
     for name, (g, first) in benchmark_runs.items():
-        again = solve(_load(name))
+        again = solve(load_dimacs(name))
         assert again.best_weight == first.best_weight, name
         assert again.best_clique == first.best_clique, name
         assert again.iterations == first.iterations, name

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from mewclique import (ColoringWorkspace, VertexSet, WeightedGraph,
-                       brute_force_vertex_edge_mewc, clique_join_weight,
-                       coloring_scores, gen_random, seq_and_bounds,
-                       vertex_weighted_upper_bound)
+                       brute_force_mewc, clique_join_weight, coloring_scores,
+                       gen_random, seq_and_bounds, vertex_weighted_upper_bound)
 
 from conftest import SIX_VERTEX_WEIGHTS, induced_weighted, with_zero_weights
 
@@ -74,7 +73,7 @@ class TestColoringBound:
             vw = [rng.randint(0, 9) for _ in range(n)]
             plan = seq_and_bounds(g, VertexSet(range(n)), vw)
             bound = vertex_weighted_upper_bound(g, plan.classes, vw)
-            assert bound >= brute_force_vertex_edge_mewc(g, vw)
+            assert bound >= brute_force_mewc(g, vw)[1]
 
 
 class TestSeqAndBounds:
@@ -233,7 +232,7 @@ class TestPlanProperties:
         for g, s_mask, join in self._random_subproblems(100, 14, seed=6):
             plan = seq_and_bounds(g, VertexSet.from_mask(s_mask), join)
             sub, sub_join = induced_weighted(g, s_mask, join)
-            best = brute_force_vertex_edge_mewc(sub, sub_join, n_limit=300)  # sparse
+            best = brute_force_mewc(sub, sub_join, n_limit=300)[1]  # sparse
             assert best <= plan.upper[plan.order[0]]
 
 

@@ -12,7 +12,7 @@ from mewclique import solve, write_weighted_edge_list
 from mewclique import cli
 from mewclique.cli import BENCH_FIELDS, REPORT_FIELDS, main
 
-from conftest import SIX_EDGES
+from conftest import ROOT, SIX_EDGES, checkout_env
 from mewclique import VertexSet, WeightedGraph
 
 
@@ -117,15 +117,12 @@ class TestSolve:
         assert report["proven_optimal"] is True
 
     def test_python_dash_m_from_checkout(self):
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "mewclique", "solve",
              "tests/data/johnson8-2-4.clq", "--dimacs-auto-weight",
              "--output", "json"],
-            cwd=root, env=env, capture_output=True, text=True, timeout=60)
+            cwd=ROOT, env=checkout_env(), capture_output=True, text=True,
+            timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["best_weight"] == 192
 
@@ -235,14 +232,11 @@ class TestSolve:
     def test_utf8_comment_in_the_c_locale(self, tmp_path):
         path = tmp_path / "fr.clq"
         path.write_bytes("c auteur: François\np edge 2 1\ne 1 2\n".encode())
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "mewclique", "solve", str(path),
              "--unit-weights"],
-            env=env, capture_output=True, text=True, timeout=60)
+            env=checkout_env(LC_ALL="C", PYTHONUTF8="0"),
+            capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
 

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from mewclique import (VertexSet, WeightedGraph, brute_force_mewc,
-                       brute_force_vertex_edge_mewc, gen_random)
+from mewclique import VertexSet, WeightedGraph, brute_force_mewc, gen_random
 
 from conftest import SIX_VERTEX_WEIGHTS, dumb_best_weight
 
@@ -15,7 +14,8 @@ def test_sample_graph(g6):
 
 
 def test_sample_graph_with_vertex_weights(g6):
-    assert brute_force_vertex_edge_mewc(g6, SIX_VERTEX_WEIGHTS) == 35
+    assert brute_force_mewc(g6, SIX_VERTEX_WEIGHTS)[1] == 35
+    assert brute_force_mewc(g6, SIX_VERTEX_WEIGHTS) == (VertexSet([3, 4, 5]), 35)
 
 
 def test_triangle():
@@ -32,7 +32,7 @@ def test_edgeless():
 
 
 def test_single_weighted_vertex():
-    assert brute_force_vertex_edge_mewc(WeightedGraph(1), [9]) == 9
+    assert brute_force_mewc(WeightedGraph(1), [9])[1] == 9
 
 
 def test_tie_break_is_lexicographic():
@@ -47,7 +47,7 @@ def test_rejects_large_instances():
     with pytest.raises(ValueError, match="too large"):
         brute_force_mewc(g)
     with pytest.raises(ValueError, match="too large"):
-        brute_force_vertex_edge_mewc(g, [0] * g.n)
+        brute_force_mewc(g, [0] * g.n)
     assert brute_force_mewc(g, n_limit=25)[1] == 0
 
 
@@ -58,7 +58,7 @@ def test_rejects_bad_join_weights():
                         ([1, 2.5], "non-int weight .* vertex 1"),
                         ([1, True], "non-int weight .* vertex 1")):
         with pytest.raises(ValueError, match=match):
-            brute_force_vertex_edge_mewc(WeightedGraph(2), join)
+            brute_force_mewc(WeightedGraph(2), join)
 
 
 def test_agrees_with_subset_scan():
@@ -75,4 +75,4 @@ def test_vertex_weighted_agrees_with_subset_scan():
         n = 4 + i % 9
         g = gen_random(n, rng.choice([0.2, 0.5, 0.8]), 1, 10, seed=400 + i)
         join = [rng.randint(0, 9) for _ in range(n)]
-        assert brute_force_vertex_edge_mewc(g, join) == dumb_best_weight(g, join)
+        assert brute_force_mewc(g, join)[1] == dumb_best_weight(g, join)

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from mewclique import (PlsConfig, SolverConfig, VertexSet, WeightedGraph,
                        brute_force_mewc, gen_random, graph, is_clique, pls,
                        set_weight, solve)
 
-from conftest import with_zero_weights
+from conftest import (BENCHMARK_OPTIMA, DATA_DIR, checkout_env, load_dimacs,
+                      with_zero_weights)
 
 FINGERPRINT = (Path(__file__).parent.parent / "perfbench"
                / "baseline-fingerprint-dimacs9.json")
@@ -52,6 +54,18 @@ class TestValidation:
         # c_initial; an old caller's switch must not be silently ignored
         with pytest.raises(TypeError, match=field):
             SolverConfig(**{field: False})
+
+    def test_invariants_refused_without_assertions(self):
+        # python -O strips the asserts that invariants mode checks with,
+        # so it would check nothing and still report a proof
+        code = ("from mewclique import SolverConfig\n"
+                "SolverConfig().validate()\n"
+                "SolverConfig(assertion_level='invariants').validate()\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=checkout_env(), capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "ValueError" in proc.stderr and "assertion_level" in proc.stderr
 
 
 class TestBasics:
@@ -96,9 +110,11 @@ class TestBasics:
         k80 = WeightedGraph(80, [(u, v, 1) for u in range(80)
                                  for v in range(u + 1, 80)])
         old = sys.getrecursionlimit()
-        sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+        low = len(inspect.stack(0)) + 40
+        sys.setrecursionlimit(low)
         try:
             res = solve(k80)
+            assert sys.getrecursionlimit() == low  # restored after the solve
         finally:
             sys.setrecursionlimit(old)
         assert res.best_weight == 80 * 79 // 2 and res.proven_optimal
@@ -162,6 +178,17 @@ class TestLimits:
         assert capped.proven_optimal
         assert (capped.best_weight, capped.iterations) == \
             (free.best_weight, free.iterations)
+
+    @pytest.mark.parametrize("name, limit, weight, proven", [
+        ("keller4", 556, 6265, False),
+        ("keller4", 557, 6745, False),  # the optimum, not yet proven
+        ("johnson8-4-4", 270, 6552, False),
+        ("johnson8-4-4", 271, 6552, True),  # its whole cold search
+    ])
+    def test_node_limit_pins(self, name, limit, weight, proven):
+        res = solve(load_dimacs(name), config=SolverConfig(node_limit=limit))
+        assert (res.iterations, res.best_weight, res.proven_optimal) == \
+            (limit, weight, proven)
 
     def test_time_limit(self):
         g = gen_random(60, 0.9, 1, 10, seed=3)
@@ -305,6 +332,26 @@ def test_row_form_does_not_change_the_search(monkeypatch, n, density, seed,
                          res.best_clique, res.best_weight, res.iterations))
         runs.append(seen)
     assert runs[0] == runs[1] == runs[2]
+
+
+# Cold nodes of the bundled instances whose whole search takes fewer
+# than 1000 nodes; the other five need more.
+COLD_NODES_UNDER_1000 = {"johnson8-2-4": 29, "hamming6-4": 107,
+                         "johnson8-4-4": 271, "hamming6-2": 48,
+                         "c-fat200-1": 16}
+
+
+def test_invariants_on_bundled_instances():
+    cfg = SolverConfig(assertion_level="invariants", node_limit=1000)
+    paths = sorted(DATA_DIR.glob("*.clq"))
+    assert len(paths) == 10
+    for path in paths:
+        res = solve(load_dimacs(path.stem), config=cfg)
+        nodes = COLD_NODES_UNDER_1000.get(path.stem)
+        assert res.iterations == (nodes or 1000), path.stem
+        assert res.proven_optimal == (nodes is not None), path.stem
+        if nodes is not None:
+            assert res.best_weight == BENCHMARK_OPTIMA[path.stem], path.stem
 
 
 # Nodes of the grouped look-ahead search after the benchmark's warm
