@@ -26,20 +26,21 @@ class, to a heaviest-edge term of that endpoint's score, so
                  ≤ w(C) + score(p) + Σ_{j<i} max_{u∈C_j} score(u),
 
 the last line being p's partition bound (score(p) is jw(p) plus p's
-heaviest edge into each earlier class). The walk tightens the third
-line. Per class C_j let T_j ≥ S_j be the two largest score(u) + w(p,u)
-over C_j ∩ child (S_j = 0 if it has one member), t_j the top vertex
-and d_j = T_j − S_j. K adds at most S_j from C_j without t_j, and
-holds at most one t_j of a group G of classes with d_j > 0 whose tops
-are pairwise non-adjacent, so G's classes add at most
+heaviest edge into each earlier class). The walk reads the third line
+first. When that beats the incumbent it tries the second line through
+a recoloring of the child: with vw(u) = score(u) + w(p,u), the walk
+takes the child's members by decreasing vw (ties to the higher index)
+and puts each into the first new class it has no neighbor in. K holds
+at most one member per new class, and each class's founder is its
+heaviest member, so
 
-    Σ_{j∈G} T_j − (Σ_{j∈G} d_j − max_{j∈G} d_j).
+    w(C + p + K) ≤ w(C) + jw(p) + Σ_{u∈K} vw(u)
+                 ≤ w(C) + jw(p) + Σ_{new classes} vw(founder).
 
-Classes join groups greedily by decreasing d, each joiner subtracting
-its d_j; disjoint groups' savings add, and when the result is at most
-the incumbent the child is skipped without a node. Every skipped
-subtree holds no clique heavier than the incumbent, so the look-ahead
-changes node counts, never best weights or the incumbent sequence.
+The walk stops as soon as that sum beats the incumbent. When neither
+bound does, the child is skipped without a node. Every skipped subtree
+holds no clique heavier than the incumbent, so the look-ahead changes
+node counts, never best weights or the incumbent sequence.
 
 The search is deterministic: ties in the coloring are broken by vertex
 index and nothing is randomized, so a given instance and configuration
@@ -150,6 +151,37 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
             expected.append(sum(rows[v][u] for u in cset) << sh | v)
         assert sorted(keys) == sorted(expected), "stale plan keys"
 
+    def verify_skip(cmask, weight_c, p, child, classes, bound):
+        # rebuild a skipped child's look-ahead from the definitions: vw(u)
+        # is u's score (as in bounds.coloring_scores) plus w(p, u)
+        clique = list(VertexSet.from_mask(cmask))
+        members = [list(VertexSet.from_mask(cls)) for cls in classes]
+        vw = {}
+        for i, cls in enumerate(members):
+            for u in cls:
+                if child >> u & 1:
+                    vw[u] = rows[p][u] + sum(rows[u][x] for x in clique) + sum(
+                        max([rows[u][x] for x in earlier if adj[u] >> x & 1],
+                            default=0) for earlier in members[:i])
+        total = weight_c + sum(rows[p][x] for x in clique)
+        rebuilt = total + sum(max([vw[u] for u in cls if u in vw], default=0)
+                              for cls in members)
+        if rebuilt > best_w:  # then the heaviest-first recoloring
+            recolored = []
+            for u in sorted(vw, key=lambda u: (vw[u], u), reverse=True):
+                for cls in recolored:
+                    if not any(adj[u] >> x & 1 for x in cls):
+                        cls.append(u)
+                        break
+                else:
+                    recolored.append([u])
+            for cls in recolored:
+                assert not any(adj[u] >> x & 1 for u in cls for x in cls), \
+                    "a recolored class is not independent"
+            rebuilt = total + sum(vw[cls[0]] for cls in recolored)
+        assert rebuilt == bound, "look-ahead bound drifted from its definition"
+        assert rebuilt <= best_w, "a child that could beat the incumbent was skipped"
+
     def expand(s_mask, weight_c, keys, cmask):
         nonlocal iterations, aborted, best_mask, best_w, heaviest_seen
         if node_limit is not None and iterations >= node_limit:
@@ -180,19 +212,19 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
             row = rows[p]
             weight_p = weight_c + (key[p] >> sh)
             # pack the child's keys; child lies in classes before p's,
-            # and per class the best score(v) + w(p, v) adds to the
-            # look-ahead bound, less the grouping of the module docstring
+            # and per class the best vw(v) = score(v) + w(p, v) adds to
+            # the look-ahead bound; past the incumbent, the child is
+            # recolored heaviest-first (see the module docstring)
             child_keys = []
+            vws = []  # vw(v) << sh | v per child member
             ahead = weight_p
             rest = child
-            tops = []  # d << sh | t per class whose top t beats the rest by d
-            d_sum = 0
             for cls in classes:
                 if not rest:
                     break
                 m = rest & cls
                 rest ^= m
-                top = second = 0
+                top = 0
                 while m:
                     b = m & -m
                     v = b.bit_length() - 1
@@ -200,30 +232,31 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
                     w = row[v]
                     child_keys.append(key[v] + (w << sh))
                     w += score[v]
+                    vws.append(w << sh | v)
                     if w > top:
-                        second, top, t = top, w, v
-                    elif w > second:
-                        second = w
+                        top = w
                 ahead += top
-                if top > second:
-                    tops.append((top - second) << sh | t)
-                    d_sum += top - second
-            if best_w < ahead <= best_w + d_sum - (max(tops, default=0) >> sh):
-                tops.sort(reverse=True)
-                groups = []
-                for e in tops:
-                    t = e & low
-                    for gi, group in enumerate(groups):
-                        if not adj[t] & group:
-                            groups[gi] = group | 1 << t
-                            ahead -= e >> sh
+            if ahead > best_w:
+                ahead = weight_p
+                vws.sort(reverse=True)
+                recolored = []
+                for e in vws:
+                    v = e & low
+                    for ci, cls in enumerate(recolored):
+                        if not adj[v] & cls:
+                            recolored[ci] = cls | 1 << v
                             break
-                    else:
-                        groups.append(1 << t)
+                    else:  # v founds a class, and is its heaviest member
+                        recolored.append(1 << v)
+                        ahead += e >> sh
+                        if ahead > best_w:
+                            break
             if ahead > best_w:
                 expand(child, weight_p, child_keys, cmask | 1 << p)
                 if aborted:
                     return
+            elif checking:
+                verify_skip(cmask, weight_c, p, child, classes, ahead)
             remaining ^= 1 << p
 
     # recursion depth is at most one level per clique vertex

@@ -54,6 +54,13 @@ def dimacs_warm_solves():
     return runs
 
 
+@pytest.fixture(scope="session")
+def johnson16_cold_solve():
+    """tests/data/johnson16-2-4.clq, the bundled instance harder than
+    the benchmark's nine, auto-weighted and solved cold once per session."""
+    return solve(load_dimacs("johnson16-2-4"))
+
+
 def load_dimacs(name):
     """The bundled DIMACS instance tests/data/<name>.clq, auto-weighted."""
     return apply_dimacs_weights(parse_dimacs((DATA_DIR / f"{name}.clq").read_text()))

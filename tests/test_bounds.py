@@ -272,49 +272,41 @@ def test_look_ahead_soundness():
     assert violations == 0
 
 
-def _grouped_look_ahead(g, plan, p, child, join):
+def _recolored_look_ahead(g, plan, p, child, join):
     """The solver's look-ahead for branch vertex p, rebuilt from the
-    plan in plain Python, without and with grouping: join(p) plus, per
-    class before p's, the top value T of score(u) + w(p, u) over the
-    child's members in it; grouped, less d = T - S for each class whose
-    top t is unique (S the best value below T, 0 if none) and joins, in
-    decreasing (d, t) order, the first group of classes whose tops are
-    all non-adjacent to t. Returns (plain, grouped)."""
-    total = join[p]
-    tops = []
+    plan in plain Python: join(p) plus, per class before p's, the best
+    vw(u) = score(u) + w(p, u) over the child's members in it (plain),
+    and join(p) plus the vw of each founder of the child's heaviest-first
+    recoloring, in which each member, by decreasing (vw, u), joins the
+    first class it has no neighbor in or founds a new one (recolored).
+    Returns (plain, recolored)."""
+    vw = {u: plan.score[u] + g.weight_rows[p][u]
+          for u in plan.order if child >> u & 1}
+    plain = join[p]
     for cls in plan.classes:
         if p in cls:
             break
-        value = {u: plan.score[u] + g.weight_rows[p][u]
-                 for u in cls if child >> u & 1}
-        top = max(value.values(), default=0)
-        total += top
-        at_top = [u for u in value if value[u] == top]
-        if top and len(at_top) == 1:
-            below = max((x for x in value.values() if x < top), default=0)
-            tops.append((top - below, at_top[0]))
-    saved = 0
-    groups = []
-    for d, t in sorted(tops, reverse=True):
-        for group in groups:
-            if not any(g.adj_bits[t] >> u & 1 for u in group):
-                group.add(t)
-                saved += d
+        plain += max([vw[u] for u in cls if u in vw], default=0)
+    recolored = []
+    for u in sorted(vw, key=lambda u: (vw[u], u), reverse=True):
+        for cls in recolored:
+            if not any(g.adj_bits[u] >> x & 1 for x in cls):
+                cls.append(u)
                 break
         else:
-            groups.append({t})
-    return total, total - saved
+            recolored.append([u])
+    return plain, join[p] + sum(vw[cls[0]] for cls in recolored)
 
 
-def test_grouped_look_ahead_soundness():
-    # grouping the classes' unique tops tightens the look-ahead above;
-    # it must still dominate every clique through p and the vertices
-    # colored before p, and it must bite on some of them
+def test_recolored_look_ahead_soundness():
+    # recoloring the child heaviest-first bounds it by its founders' vw;
+    # that must dominate every clique through p and the vertices colored
+    # before p, and it must undercut the plain class maxima on some
     rng = random.Random(79)
     violations = 0
     tightened = 0
     checked = 0
-    for gi in range(500):
+    for gi in range(600):
         n = 6 + gi % 11
         g = gen_random(n, rng.choice([0.2, 0.4, 0.6, 0.8]), 1, 10,
                        seed=7000 + gi)
@@ -326,10 +318,10 @@ def test_grouped_look_ahead_soundness():
         before = 0  # vertices colored before p, i.e. later in the order
         for p in reversed(plan.order):
             child = before & g.adj_bits[p]
-            plain, grouped = _grouped_look_ahead(g, plan, p, child, join)
-            if grouped < _best_weight_containing(g, p, before, join):
+            plain, recolored = _recolored_look_ahead(g, plan, p, child, join)
+            if recolored < _best_weight_containing(g, p, before, join):
                 violations += 1
-            tightened += grouped < plain
+            tightened += recolored < plain
             before |= 1 << p
         checked += 1
     assert checked >= 500

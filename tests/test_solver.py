@@ -179,11 +179,13 @@ class TestLimits:
         assert (capped.best_weight, capped.iterations) == \
             (free.best_weight, free.iterations)
 
+    # ids name what each pin holds, so a re-pin keeps the test's name
     @pytest.mark.parametrize("name, limit, weight, proven", [
-        ("keller4", 556, 6265, False),
-        ("keller4", 557, 6745, False),  # the optimum, not yet proven
-        ("johnson8-4-4", 270, 6552, False),
-        ("johnson8-4-4", 271, 6552, True),  # its whole cold search
+        pytest.param("keller4", 322, 6265, False, id="keller4-before-optimum"),
+        pytest.param("keller4", 323, 6745, False, id="keller4-optimum-unproven"),
+        pytest.param("johnson8-4-4", 226, 6552, False, id="johnson8-4-4-unproven"),
+        pytest.param("johnson8-4-4", 227, 6552, True,  # its whole cold search
+                     id="johnson8-4-4-proven"),
     ])
     def test_node_limit_pins(self, name, limit, weight, proven):
         res = solve(load_dimacs(name), config=SolverConfig(node_limit=limit))
@@ -210,12 +212,14 @@ def _reference_solve(g):
     """Literal, uncached transliteration of the search for trace
     comparison: join weights, clique weights and scores are recomputed
     from scratch at every node, the branch loop tests every candidate,
-    and plain lists stand in for bitmasks. A branch whose clique
-    weight plus, per earlier class, the best score(u) + w(p, u) over
-    its child, less d for each class whose unique top (d above the
-    runner-up) joins a group of pairwise non-adjacent tops, cannot
-    beat the incumbent is skipped without a node. Grouping is tried
-    at every branch: the solver's test for when it can matter is a
+    and plain lists and sets stand in for bitmasks. A branch is skipped
+    without a node when its clique weight plus, per earlier class, the
+    best vw(u) = score(u) + w(p, u) over its child cannot beat the
+    incumbent, or, when it can, its clique weight plus the vw of each
+    class founder of the child's heaviest-first recoloring cannot: by
+    decreasing (vw, u), each child member joins the first class it has
+    no neighbor in, or founds a new one. The recoloring is summed
+    whole: the solver stops it once the sum beats the incumbent, a
     shortcut that must not change a decision. Slow on purpose. Join
     weights and scores read a dense matrix rebuilt from g.edges(), not
     the graph's weight rows."""
@@ -252,25 +256,20 @@ def _reference_solve(g):
     def ahead(c_members, p, child, classes, score):
         i = next(j for j, cls in enumerate(classes) if p in cls)
         total = weight_of(c_members + [p])
-        tops = []  # (d, t) per class whose top t beats the rest by d
-        for cls in classes[:i]:
-            values = sorted([score[u] + w[p][u] for u in cls if u in child],
-                            reverse=True) + [0, 0]
-            total += values[0]
-            if values[0] > values[1]:
-                t = next(u for u in cls
-                         if u in child and score[u] + w[p][u] == values[0])
-                tops.append((values[0] - values[1], t))
-        groups = []  # lists of pairwise non-adjacent tops
-        for d, t in sorted(tops, reverse=True):
-            for group in groups:
-                if all(not (adj[t] >> u) & 1 for u in group):
-                    group.append(t)
-                    total -= d
+        vw = {u: score[u] + w[p][u] for u in child}
+        plain = total + sum(max([vw[u] for u in cls if u in vw], default=0)
+                            for cls in classes[:i])
+        if plain <= state["best"]:
+            return plain
+        recolored = []  # sets of pairwise non-adjacent child members
+        for u in sorted(vw, key=lambda u: (vw[u], u), reverse=True):
+            for cls in recolored:
+                if all(not (adj[u] >> x) & 1 for x in cls):
+                    cls.add(u)
                     break
             else:
-                groups.append([t])
-        return total
+                recolored.append({u})
+        return total + sum(max(vw[u] for u in cls) for cls in recolored)
 
     def expand(c_members, s_members):
         state["iterations"] += 1
@@ -336,8 +335,8 @@ def test_row_form_does_not_change_the_search(monkeypatch, n, density, seed,
 
 # Cold nodes of the bundled instances whose whole search takes fewer
 # than 1000 nodes; the other five need more.
-COLD_NODES_UNDER_1000 = {"johnson8-2-4": 29, "hamming6-4": 107,
-                         "johnson8-4-4": 271, "hamming6-2": 48,
+COLD_NODES_UNDER_1000 = {"johnson8-2-4": 32, "hamming6-4": 103,
+                         "johnson8-4-4": 227, "hamming6-2": 48,
                          "c-fat200-1": 16}
 
 
@@ -354,13 +353,13 @@ def test_invariants_on_bundled_instances():
             assert res.best_weight == BENCHMARK_OPTIMA[path.stem], path.stem
 
 
-# Nodes of the grouped look-ahead search after the benchmark's warm
-# start (56,506 in all): a change that claims no algorithm change keeps
+# Nodes of the recoloring look-ahead search after the benchmark's warm
+# start (36,400 in all): a change that claims no algorithm change keeps
 # them.
 DIMACS_WARM_NODES = {
-    "johnson8-2-4": 25, "hamming6-4": 105, "johnson8-4-4": 263,
-    "hamming6-2": 32, "MANN_a9": 12279, "c-fat200-1": 5,
-    "keller4": 32270, "brock200_2": 9250, "p_hat300-1": 2277,
+    "johnson8-2-4": 28, "hamming6-4": 101, "johnson8-4-4": 219,
+    "hamming6-2": 32, "MANN_a9": 10645, "c-fat200-1": 5,
+    "keller4": 17857, "brock200_2": 6109, "p_hat300-1": 1404,
 }
 
 
@@ -375,3 +374,14 @@ def test_dimacs_best_weights_match_benchmark_fingerprint(dimacs_warm_solves):
         assert res.best_weight == want["best_weight"], name
         assert res.iterations <= want["solver.nodes"], name
         assert res.iterations == DIMACS_WARM_NODES[name], name
+
+
+# Nodes of the recoloring look-ahead search on johnson16-2-4, cold; a
+# PLS warm start (10 iterations, seed 0: weight 3608) leaves it unchanged.
+JOHNSON16_NODES = 140558
+
+
+def test_johnson16_proven_at_pinned_nodes(johnson16_cold_solve):
+    res = johnson16_cold_solve
+    assert (res.best_weight, res.proven_optimal, res.iterations) == \
+        (3808, True, JOHNSON16_NODES)
