@@ -7,9 +7,8 @@ warm-started by a phased local search; instance I/O, a brute-force
 oracle and a benchmark CLI round out the package.
 """
 
-from .bounds import (ColoringWorkspace, SeqAndBounds, clique_join_weight,
-                     coloring_scores, seq_and_bounds,
-                     vertex_weighted_upper_bound)
+from .bounds import (ColoringWorkspace, SeqAndBounds, coloring_scores,
+                     seq_and_bounds, vertex_weighted_upper_bound)
 from .graph import VertexSet, WeightedGraph, is_clique, set_weight
 from .io import (ParseError, apply_dimacs_weights, gen_random, instance_format,
                  parse_dimacs, parse_weighted_edge_list, read_instance,
@@ -31,7 +30,6 @@ __all__ = [
     "WeightedGraph",
     "apply_dimacs_weights",
     "brute_force_mewc",
-    "clique_join_weight",
     "coloring_scores",
     "gen_random",
     "instance_format",

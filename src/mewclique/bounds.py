@@ -29,7 +29,8 @@ covers every clique through v whose other members are colored before
 v. The scores are returned per call, so the solver can tighten that
 bound for a branch vertex p: adding p's edge to each term and taking
 the maxima only over p's neighbors colored before it gives its
-look-ahead (see :mod:`mewclique.solver`).
+look-ahead (see :mod:`mewclique.solver`). The plain-Python functions
+here define each bound once; invariants mode checks the fast path.
 Join weights belong to a search node, not to the graph: every function
 here that reads them takes them as an argument and checks each one.
 """
@@ -38,20 +39,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .graph import VertexSet, WeightedGraph, checked_join_weight
-
-
-def clique_join_weight(g: WeightedGraph, clique: VertexSet, v: int) -> int:
-    """Total edge weight between v and the members of `clique`, i.e.
-    the amount the clique weight grows when v joins it.
-
-    v must not already be a member; non-edges contribute 0.
-    """
-    g._check_subset(clique)
-    g._check_vertex(v)
-    if v in clique:
-        raise ValueError(f"vertex {v} is already in the clique")
-    row = g.weight_rows[v]
-    return sum(row[u] for u in clique)
 
 
 def _check_coloring(g: WeightedGraph, coloring):
@@ -67,17 +54,15 @@ def _check_coloring(g: WeightedGraph, coloring):
             if g.adj_bits[v] & cmask:
                 raise ValueError(f"color class {idx} is not an independent set")
         union |= cmask
-    if union != (1 << g.n) - 1:
-        raise ValueError("coloring does not cover every vertex")
 
 
 def coloring_scores(g: WeightedGraph, coloring, join_weights) -> dict:
     """Per-vertex accumulated score for a given coloring.
 
-    The score of v is its join weight plus, for every class earlier
-    than its own, the heaviest edge from v into that class (nothing if
-    there is none). Raises ValueError unless `coloring` partitions the
-    vertices into independent sets and each has an int join weight >= 0.
+    The score of each colored v is its join weight plus, per class
+    before its own, the heaviest edge from v into it (0 if none). Raises
+    ValueError unless the classes are nonempty, disjoint independent sets
+    (of a candidate set, say) and every member has an int join weight >= 0.
     """
     _check_coloring(g, coloring)
     adj = g.adj_bits
@@ -105,7 +90,7 @@ def _heaviest_edge(row, linked: int) -> int:
 
 
 def vertex_weighted_upper_bound(g: WeightedGraph, coloring, join_weights) -> int:
-    """Upper bound on the join-plus-edge weight of any clique in g.
+    """Upper bound on the join-plus-edge weight of any clique of colored vertices.
 
     Sums the per-class maxima of :func:`coloring_scores`. Sound because
     a clique holds at most one vertex per independent set and each of
@@ -114,6 +99,31 @@ def vertex_weighted_upper_bound(g: WeightedGraph, coloring, join_weights) -> int
     """
     scores = coloring_scores(g, coloring, join_weights)
     return sum(max(scores[v] for v in cls) for cls in coloring)
+
+
+def look_ahead_bounds(g: WeightedGraph, coloring, scores, p: int, child):
+    """(plain, recolored), the look-ahead bounds of branch vertex p's
+    child, a VertexSet of p's neighbors colored before p (see
+    :mod:`mewclique.solver`). With vw(u) = scores[u] + w(p, u), plain sums
+    the best child vw per class before p's, and recolored the founders'
+    vw of the child's first-fit recoloring by decreasing (vw, u)."""
+    g._check_subset(child)
+    i = next((i for i, cls in enumerate(coloring) if p in cls), -1)
+    if i < 0 or child.mask & ~(g.adj_bits[p] & sum(c.mask for c in coloring[:i])):
+        raise ValueError(f"child is not within p's neighbors colored before {p}")
+    vw = {u: scores[u] + g.weight_rows[p][u] for u in child}
+    plain = sum(max([vw[u] for u in c & child], default=0) for c in coloring[:i])
+    vws = sorted(((vw[u], u) for u in vw), reverse=True)
+    recolored, founders = [], 0  # the new classes' masks, their founders' vw
+    for w, u in vws:
+        for ci, cls in enumerate(recolored):
+            if not g.adj_bits[u] & cls:
+                recolored[ci] = cls | 1 << u
+                break
+        else:  # u founds a class, and is its heaviest member
+            recolored.append(1 << u)
+            founders += w
+    return plain, founders
 
 
 @dataclass
@@ -250,9 +260,7 @@ def seq_and_bounds(g: WeightedGraph, s: VertexSet, join_weights) -> SeqAndBounds
     """
     g._check_subset(s)
     sh = g.n.bit_length()
-    keys = []
-    for v in s:
-        keys.append(checked_join_weight(join_weights, v) << sh | v)
+    keys = [checked_join_weight(join_weights, v) << sh | v for v in s]
     order, bounds, class_masks, score = ColoringWorkspace(g).run(s.mask, keys)
     return SeqAndBounds(
         order=order,

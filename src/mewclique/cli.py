@@ -164,12 +164,12 @@ def _bench_worker(task):
 
 
 def _bench_pool(tasks, jobs):
-    """Bench rows from `jobs` worker processes, in task order. A worker
-    that dies (killed, out of memory) breaks the whole pool; every task
-    left without a result gets an error row instead."""
+    """Bench rows, in task order, from min(jobs, len(tasks)) worker
+    processes: a fork-started pool starts them all at once. A dead worker
+    (killed, out of memory) breaks the pool; tasks left get error rows."""
     futures = []
     try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             for task in tasks:
                 futures.append(pool.submit(_bench_worker, task))
     except BrokenProcessPool:

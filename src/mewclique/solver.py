@@ -40,7 +40,8 @@ heaviest member, so
 The walk stops as soon as that sum beats the incumbent. When neither
 bound does, the child is skipped without a node. Every skipped subtree
 holds no clique heavier than the incumbent, so the look-ahead changes
-node counts, never best weights or the incumbent sequence.
+node counts, never best weights or the incumbent sequence. Both
+bounds are defined by :func:`mewclique.bounds.look_ahead_bounds`.
 
 The search is deterministic: ties in the coloring are broken by vertex
 index and nothing is randomized, so a given instance and configuration
@@ -51,7 +52,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .bounds import ColoringWorkspace
+from .bounds import ColoringWorkspace, coloring_scores, look_ahead_bounds
 from .graph import VertexSet, WeightedGraph, is_clique, set_weight
 
 
@@ -61,7 +62,8 @@ class SolverConfig:
 
     Limits are wall-clock seconds and node counts; None means
     unlimited. assertion_level "invariants" re-derives all node state
-    from scratch at every node; it is meant for tests, is orders of
+    at every node and checks every prune against the definitions in
+    :mod:`mewclique.bounds`; it is meant for tests, is orders of
     magnitude slower, and is refused under python -O, whose stripped
     asserts would let it check nothing.
     """
@@ -151,36 +153,26 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
             expected.append(sum(rows[v][u] for u in cset) << sh | v)
         assert sorted(keys) == sorted(expected), "stale plan keys"
 
-    def verify_skip(cmask, weight_c, p, child, classes, bound):
-        # rebuild a skipped child's look-ahead from the definitions: vw(u)
-        # is u's score (as in bounds.coloring_scores) plus w(p, u)
-        clique = list(VertexSet.from_mask(cmask))
-        members = [list(VertexSet.from_mask(cls)) for cls in classes]
-        vw = {}
-        for i, cls in enumerate(members):
-            for u in cls:
-                if child >> u & 1:
-                    vw[u] = rows[p][u] + sum(rows[u][x] for x in clique) + sum(
-                        max([rows[u][x] for x in earlier if adj[u] >> x & 1],
-                            default=0) for earlier in members[:i])
-        total = weight_c + sum(rows[p][x] for x in clique)
-        rebuilt = total + sum(max([vw[u] for u in cls if u in vw], default=0)
-                              for cls in members)
-        if rebuilt > best_w:  # then the heaviest-first recoloring
-            recolored = []
-            for u in sorted(vw, key=lambda u: (vw[u], u), reverse=True):
-                for cls in recolored:
-                    if not any(adj[u] >> x & 1 for x in cls):
-                        cls.append(u)
-                        break
-                else:
-                    recolored.append([u])
-            for cls in recolored:
-                assert not any(adj[u] >> x & 1 for u in cls for x in cls), \
-                    "a recolored class is not independent"
-            rebuilt = total + sum(vw[cls[0]] for cls in recolored)
-        assert rebuilt == bound, "look-ahead bound drifted from its definition"
-        assert rebuilt <= best_w, "a child that could beat the incumbent was skipped"
+    def verify_plan(s_mask, keys, order, ubs, classes, score):
+        # every dead end and break trusts the plan: check it against bounds.py
+        coloring = [VertexSet.from_mask(cls) for cls in classes]
+        jw = {k & low: k >> sh for k in keys}
+        assert score == coloring_scores(g, coloring, jw), "scores drifted"
+        at = {v: i for i, cls in enumerate(coloring) for v in cls}
+        ranks = [at[v] for v in order]
+        assert sum(classes) == s_mask and sorted(order) == sorted(jw) and \
+            ranks == sorted(ranks, reverse=True), "order and coloring disagree"
+        tops = [max(score[v] for v in cls) for cls in coloring]
+        assert ubs == sorted(ubs, reverse=True) == [
+            score[v] + sum(tops[:at[v]]) for v in order], "bounds drifted"
+        return coloring
+
+    def verify_skip(p, child, coloring, score, weight_p, bound):
+        plain, recolored = look_ahead_bounds(g, coloring, score, p,
+                                             VertexSet.from_mask(child))
+        rebuilt = weight_p + (plain if weight_p + plain <= best_w else recolored)
+        assert bound == rebuilt, "look-ahead bound drifted from its definition"
+        assert bound <= best_w, "a child that could beat the incumbent was skipped"
 
     def expand(s_mask, weight_c, keys, cmask):
         nonlocal iterations, aborted, best_mask, best_w, heaviest_seen
@@ -201,6 +193,8 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
                 best_mask = cmask
             return
         order, ubs, classes, score = plan(s_mask, keys)
+        if checking:
+            coloring = verify_plan(s_mask, keys, order, ubs, classes, score)
         if weight_c + ubs[0] <= best_w:
             return  # a dead end: bounds are non-increasing along the order
         key = dict(zip(map(low.__and__, keys), keys))  # v -> its key
@@ -256,7 +250,7 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
                 if aborted:
                     return
             elif checking:
-                verify_skip(cmask, weight_c, p, child, classes, ahead)
+                verify_skip(p, child, coloring, score, weight_p, ahead)
             remaining ^= 1 << p
 
     # recursion depth is at most one level per clique vertex

@@ -3,28 +3,14 @@ import random
 import pytest
 
 from mewclique import (ColoringWorkspace, VertexSet, WeightedGraph,
-                       brute_force_mewc, clique_join_weight, coloring_scores,
-                       gen_random, seq_and_bounds, vertex_weighted_upper_bound)
+                       brute_force_mewc, coloring_scores, gen_random,
+                       seq_and_bounds, vertex_weighted_upper_bound)
+from mewclique.bounds import look_ahead_bounds
 
 from conftest import SIX_VERTEX_WEIGHTS, induced_weighted, with_zero_weights
 
 SIX_COLORING = [VertexSet([0, 2, 5]), VertexSet([1, 3]), VertexSet([4])]
 SIX_SCORES = {0: 2, 1: 8, 2: 3, 3: 12, 4: 21, 5: 3}
-
-
-class TestCliqueJoinWeight:
-    def test_two_member_clique(self, g6):
-        assert clique_join_weight(g6, VertexSet([4, 5]), 3) == 4 + 7
-
-    def test_empty_clique(self, g6):
-        assert clique_join_weight(g6, VertexSet(), 2) == 0
-
-    def test_single_member(self, g6):
-        assert clique_join_weight(g6, VertexSet([4]), 5) == 8
-
-    def test_rejects_member(self, g6):
-        with pytest.raises(ValueError):
-            clique_join_weight(g6, VertexSet([4, 5]), 4)
 
 
 class TestColoringBound:
@@ -55,7 +41,7 @@ class TestColoringBound:
 
     @pytest.mark.parametrize("coloring", [
         [VertexSet([0, 1]), VertexSet([2, 3, 4, 5])],          # 0-1 adjacent
-        [VertexSet([0, 2, 5]), VertexSet([1, 3])],             # misses vertex 4
+        [VertexSet([0, 2, 5]), VertexSet([1, 3, 6])],          # 6 is not in g
         [VertexSet([0, 2, 5]), VertexSet([1, 3, 5]), VertexSet([4])],  # overlap
         [VertexSet([0, 2, 5]), VertexSet(), VertexSet([1, 3, 4])],     # empty class
     ])
@@ -63,10 +49,19 @@ class TestColoringBound:
         with pytest.raises(ValueError):
             vertex_weighted_upper_bound(g6, coloring, SIX_VERTEX_WEIGHTS)
 
+    def test_partial_coloring(self, g6):
+        # a coloring of the candidates {0, 1, 2, 3, 5}: vertex 4 is uncolored
+        coloring = SIX_COLORING[:2]
+        scores = {v: s for v, s in SIX_SCORES.items() if v != 4}
+        assert coloring_scores(g6, coloring, SIX_VERTEX_WEIGHTS) == scores
+        assert vertex_weighted_upper_bound(g6, coloring, SIX_VERTEX_WEIGHTS) == 15
+
     def test_dominates_exact_optimum(self):
         # soundness on random vertex-and-edge-weighted graphs, using the
-        # greedy coloring produced by the branch-plan machinery
+        # greedy coloring produced by the branch-plan machinery, of the
+        # whole graph and of a random candidate subset
         rng = random.Random(11)
+        subsets = random.Random(12)
         for i in range(100):
             n = 6 + i % 9
             g = gen_random(n, rng.choice([0.3, 0.5, 0.8]), 1, 10, seed=200 + i)
@@ -74,6 +69,10 @@ class TestColoringBound:
             plan = seq_and_bounds(g, VertexSet(range(n)), vw)
             bound = vertex_weighted_upper_bound(g, plan.classes, vw)
             assert bound >= brute_force_mewc(g, vw)[1]
+            s_mask = subsets.randrange(1, 1 << n)
+            plan = seq_and_bounds(g, VertexSet.from_mask(s_mask), vw)
+            bound = vertex_weighted_upper_bound(g, plan.classes, vw)
+            assert bound >= brute_force_mewc(*induced_weighted(g, s_mask, vw))[1]
 
 
 class TestSeqAndBounds:
@@ -197,24 +196,10 @@ class TestPlanProperties:
                 assert plan.upper[v] >= plan.score[v] >= join[v] >= 0
 
     def test_score_accounting(self):
-        # final score must equal the direct per-class-maximum formula
+        # final scores must equal the definition's, for the plan's coloring
         for g, s_mask, join in self._random_subproblems(150, 14, seed=4):
             plan = seq_and_bounds(g, VertexSet.from_mask(s_mask), join)
-            position = {}
-            for idx, cls in enumerate(plan.classes):
-                for v in cls:
-                    position[v] = idx
-            for v in plan.order:
-                expected = join[v]
-                for idx in range(position[v]):
-                    inside = g.adj_bits[v] & plan.classes[idx].mask
-                    best = 0
-                    while inside:
-                        b = inside & -inside
-                        best = max(best, g.weight_rows[v][b.bit_length() - 1])
-                        inside ^= b
-                    expected += best
-                assert plan.score[v] == expected
+            assert plan.score == coloring_scores(g, plan.classes, join)
 
     def test_prefix_soundness(self):
         # upper[p_i] must dominate the best clique through p_i that only
@@ -236,72 +221,23 @@ class TestPlanProperties:
             assert best <= plan.upper[plan.order[0]]
 
 
+def test_look_ahead_sample(g6):
+    # p = 4 sits in the last class; vw over its child {0, 1, 3, 5} is
+    # 7, 13, 16, 11, and join(4) = 8 plus either bound is the optimum 35
+    child = VertexSet([0, 1, 3, 5])
+    assert look_ahead_bounds(g6, SIX_COLORING, SIX_SCORES, 4, child) == (27, 27)
+    for p, bad in ((4, VertexSet([0, 2])),   # 2 is not a neighbor of 4
+                   (0, VertexSet([1]))):     # 1 is colored after 0
+        with pytest.raises(ValueError, match="child"):
+            look_ahead_bounds(g6, SIX_COLORING, SIX_SCORES, p, bad)
+
+
 def test_look_ahead_soundness():
-    # the solver's look-ahead for branch vertex p in class i, from the
-    # plan of its node: join(p) plus, per earlier class, the best
-    # score(u) + w(p, u) over p's child (neighbors colored before p).
-    # It must dominate every clique through p and the vertices colored
-    # before p, in the style of criterion 4
-    rng = random.Random(78)
-    violations = 0
-    checked = 0
-    for gi in range(500):
-        n = 6 + gi % 11
-        g = gen_random(n, rng.choice([0.2, 0.4, 0.6, 0.8]), 1, 10,
-                       seed=6000 + gi)
-        if gi % 2:
-            g = with_zero_weights(g)
-        s_mask = rng.randrange(1, 1 << n)
-        join = [rng.randint(0, 12) for _ in range(n)]
-        plan = seq_and_bounds(g, VertexSet.from_mask(s_mask), join)
-        row_of = g.weight_rows
-        before = 0  # vertices colored before p, i.e. later in the order
-        for p in reversed(plan.order):
-            child = before & g.adj_bits[p]
-            ahead = join[p]
-            for cls in plan.classes:
-                if p in cls:
-                    break
-                ahead += max((plan.score[u] + row_of[p][u]
-                              for u in cls if child >> u & 1), default=0)
-            if ahead < _best_weight_containing(g, p, before, join):
-                violations += 1
-            before |= 1 << p
-        checked += 1
-    assert checked >= 500
-    assert violations == 0
-
-
-def _recolored_look_ahead(g, plan, p, child, join):
-    """The solver's look-ahead for branch vertex p, rebuilt from the
-    plan in plain Python: join(p) plus, per class before p's, the best
-    vw(u) = score(u) + w(p, u) over the child's members in it (plain),
-    and join(p) plus the vw of each founder of the child's heaviest-first
-    recoloring, in which each member, by decreasing (vw, u), joins the
-    first class it has no neighbor in or founds a new one (recolored).
-    Returns (plain, recolored)."""
-    vw = {u: plan.score[u] + g.weight_rows[p][u]
-          for u in plan.order if child >> u & 1}
-    plain = join[p]
-    for cls in plan.classes:
-        if p in cls:
-            break
-        plain += max([vw[u] for u in cls if u in vw], default=0)
-    recolored = []
-    for u in sorted(vw, key=lambda u: (vw[u], u), reverse=True):
-        for cls in recolored:
-            if not any(g.adj_bits[u] >> x & 1 for x in cls):
-                cls.append(u)
-                break
-        else:
-            recolored.append([u])
-    return plain, join[p] + sum(vw[cls[0]] for cls in recolored)
-
-
-def test_recolored_look_ahead_soundness():
-    # recoloring the child heaviest-first bounds it by its founders' vw;
-    # that must dominate every clique through p and the vertices colored
-    # before p, and it must undercut the plain class maxima on some
+    # the solver's look-ahead for branch vertex p, from the plan of its
+    # node: join(p) plus either bound of look_ahead_bounds must dominate
+    # every clique through p and the vertices colored before p, in the
+    # style of criterion 4, and the recoloring must undercut the plain
+    # class maxima on some
     rng = random.Random(79)
     violations = 0
     tightened = 0
@@ -317,9 +253,11 @@ def test_recolored_look_ahead_soundness():
         plan = seq_and_bounds(g, VertexSet.from_mask(s_mask), join)
         before = 0  # vertices colored before p, i.e. later in the order
         for p in reversed(plan.order):
-            child = before & g.adj_bits[p]
-            plain, recolored = _recolored_look_ahead(g, plan, p, child, join)
-            if recolored < _best_weight_containing(g, p, before, join):
+            child = VertexSet.from_mask(before & g.adj_bits[p])
+            plain, recolored = look_ahead_bounds(g, plan.classes, plan.score,
+                                                 p, child)
+            if join[p] + min(plain, recolored) < \
+                    _best_weight_containing(g, p, before, join):
                 violations += 1
             tightened += recolored < plain
             before |= 1 << p

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -331,6 +332,35 @@ class TestBench:
                     for r in rows]
 
         assert stable(out1) == stable(out4)
+
+    def test_jobs_capped_at_instance_count(self, tmp_path, capsys, monkeypatch):
+        # a fork-started pool starts all max_workers at the first submit,
+        # so one instance must ask for one worker; the stand-in pool runs
+        # each task inline and starts no process
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        paths = self._make_instances(tmp_path, count=1)
+        capsys.readouterr()  # drop the gen chatter
+        assert main(["bench", str(paths[0]), "--no-pls", "--jobs", "64"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [r["instance"] for r in rows] == ["inst0", "TOTAL"]
+        assert asked == [1]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_rejects_bad_jobs(self, tmp_path, capsys, jobs):
