@@ -10,11 +10,11 @@ earlier class, at most the single heaviest edge linking it to that
 class. Accumulating those heaviest edges into a per-vertex score and
 summing per-class score maxima therefore dominates every clique weight.
 
-Building the classes greedily by lowest current score yields, as a side
-effect, a per-vertex pruning bound (score at coloring time plus the
-running sum of closed-class maxima) and a branch order along which
-those bounds are non-increasing, which is exactly what the solver's
-pruning loop wants.
+Building the classes greedily, each taking its vertices by increasing
+score (lightest-first) or by decreasing score (heaviest-first), yields
+a per-vertex pruning bound and a branch order along which those bounds
+are non-increasing, as the solver's pruning loop wants. The order
+decides which vertices share a class; neither is tighter everywhere.
 
 In symbols: with classes C_0, C_1, ... in construction order, join
 weights jw and score(v) = jw(v) + Σ_{j<class(v)} max_{u∈C_j∩N(v)} w(u,v),
@@ -155,13 +155,14 @@ _SCAN_MAX_CLASS = 32
 class ColoringWorkspace:
     """Reusable scratch state for the per-node bound computation.
 
-    The search calls :meth:`run` once per node, so the per-vertex masks
+    The search calls :meth:`run` at every node, so the per-vertex masks
     are built once, not per call. One workspace serves one solver;
     distinct workspaces over the same graph may run concurrently.
     """
 
     def __init__(self, graph: WeightedGraph):
         self.graph = graph
+        self.heaviest_first = False  # a shallow copy shares the masks
         self._bit = [1 << v for v in range(graph.n)]
         # picking v shuts v and its neighbors out of the open class
         self._shut = [~(a | 1 << v) for v, a in enumerate(graph.adj_bits)]
@@ -182,7 +183,8 @@ class ColoringWorkspace:
         valid while later calls run.
 
         Classes are built maximal. Within one class vertices are taken
-        in increasing score, ties to the lowest index; scores are
+        by increasing (score, v), or with ``heaviest_first`` decreasing,
+        each class's slice of order and bounds then reversed. Scores are
         frozen while a class is being built. A vertex's bound is fixed
         the moment it is colored: its score plus the running sum of
         closed-class maxima. After a class closes, each leftover (all
@@ -203,7 +205,8 @@ class ColoringWorkspace:
         if len(keys) != s_mask.bit_count():
             raise ValueError(f"{len(keys)} keys for "
                              f"{s_mask.bit_count()} candidates")
-        keys.sort()
+        heavy = self.heaviest_first
+        keys.sort(reverse=heavy)
         score = {}
         order = []  # colored order; reversed into branch order at the end
         bounds = []
@@ -230,10 +233,14 @@ class ColoringWorkspace:
                 else:
                     left.append(k)
             left.extend(ranked)  # the rest after the class filled up
-            closed_sum += sv  # picks arrive in nondecreasing score
+            picked = order[first:]
+            if heavy:  # the first pick is the class maximum
+                sv = score[picked[0]]
+                order[first:] = picked[::-1]
+                bounds[first:] = bounds[first:][::-1]
+            closed_sum += sv  # the last lightest-first pick is the maximum
             uncolored ^= cls
             class_masks.append(cls)
-            picked = order[first:]
             if len(picked) == 1:
                 col = rows[picked[0]]
                 keys = [k + (col[k & low] << sh) for k in left]
@@ -243,7 +250,7 @@ class ColoringWorkspace:
             else:
                 keys = [k + (_heaviest_edge(rows[k & low], adj[k & low] & cls) << sh)
                         for k in left]
-            keys.sort()
+            keys.sort(reverse=heavy)
         order.reverse()
         bounds.reverse()
         return order, bounds, class_masks, score

@@ -4,7 +4,7 @@ Subcommands: ``solve`` one instance, ``gen`` a seeded random instance,
 ``bench`` a list of instances into a CSV table, ``oracle`` for
 brute-force cross-checks on small instances.
 
-Exit codes: 0 for a proven optimum, 2 when a time or node limit cut the
+Exit codes: 0 for a proven optimum, 2 when a limit or Ctrl-C cut the
 search short, 1 for any error. Report schema (JSON keys and CSV column
 order) is fixed: instance, n, density, lb, pls_time, solve_time,
 total_time, best_weight, clique, iterations, proven_optimal. Bench rows
@@ -147,10 +147,9 @@ def _read_manifest(path):
 
 
 def _error_row(path, message):
-    row = {k: "" for k in BENCH_FIELDS}
-    row["instance"] = Path(path).stem
-    row["error"] = message
-    return row
+    # named by file name: a good row's stem cannot tell two entries apart
+    return {**dict.fromkeys(BENCH_FIELDS, ""), "instance": Path(path).name,
+            "error": message}
 
 
 def _bench_worker(task):

@@ -43,11 +43,15 @@ holds no clique heavier than the incumbent, so the look-ahead changes
 node counts, never best weights or the incumbent sequence. Both
 bounds are defined by :func:`mewclique.bounds.look_ahead_bounds`.
 
-The search is deterministic: ties in the coloring are broken by vertex
-index and nothing is randomized, so a given instance and configuration
-always reproduce the same incumbent sequence and node count.
+The root colors lightest-first. A root branch, a child of the root, does
+too and, unless that makes it a dead end, also heaviest-first; it keeps
+the coloring with fewer vertices whose bound beats its slack best_w −
+weight_c (ties to lightest-first), and its subtree gets that order as an
+argument. Ties are broken by vertex index and nothing is random, so an
+instance and configuration always give one node count.
 """
 
+import copy
 import sys
 import time
 from dataclasses import dataclass
@@ -97,8 +101,8 @@ class SolveResult:
     """Outcome of one solve run.
 
     iterations counts invocations of the recursive expansion, root and
-    base cases included. proven_optimal is False only when a time or
-    node limit fired; the incumbent is still the best clique seen.
+    base cases included. proven_optimal is False only when a limit or Ctrl-C
+    stopped the search; the incumbent is still the best clique seen.
     """
 
     best_clique: VertexSet
@@ -132,7 +136,9 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
     best_mask = c_initial.mask
     best_w = initial_w = set_weight(g, c_initial)
 
-    plan = ColoringWorkspace(g).run
+    light = ColoringWorkspace(g)
+    heavy = copy.copy(light)  # the same masks, colored heaviest-first
+    heavy.heaviest_first = True
     sh = n.bit_length()  # candidate keys are jw(v) << sh | v
     low = (1 << sh) - 1
     iterations = 0
@@ -174,7 +180,7 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
         assert bound == rebuilt, "look-ahead bound drifted from its definition"
         assert bound <= best_w, "a child that could beat the incumbent was skipped"
 
-    def expand(s_mask, weight_c, keys, cmask):
+    def expand(s_mask, weight_c, keys, cmask, plan):
         nonlocal iterations, aborted, best_mask, best_w, heaviest_seen
         if node_limit is not None and iterations >= node_limit:
             aborted = True
@@ -192,11 +198,17 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
                 best_w = weight_c
                 best_mask = cmask
             return
-        order, ubs, classes, score = plan(s_mask, keys)
+        order, ubs, classes, score = (plan or light).run(s_mask, keys)
         if checking:
             coloring = verify_plan(s_mask, keys, order, ubs, classes, score)
         if weight_c + ubs[0] <= best_w:
             return  # a dead end: bounds are non-increasing along the order
+        if plan is None and cmask:  # a root branch keeps its better order
+            plan, slack, alt = light, best_w - weight_c, heavy.run(s_mask, keys)
+            if sum(ub > slack for ub in alt[1]) < sum(ub > slack for ub in ubs):
+                (order, ubs, classes, score), plan = alt, heavy
+                if checking:
+                    coloring = verify_plan(s_mask, keys, *alt)
         key = dict(zip(map(low.__and__, keys), keys))  # v -> its key
         remaining = s_mask
         for p, ub in zip(order, ubs):
@@ -246,7 +258,7 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
                         if ahead > best_w:
                             break
             if ahead > best_w:
-                expand(child, weight_p, child_keys, cmask | 1 << p)
+                expand(child, weight_p, child_keys, cmask | 1 << p, plan)
                 if aborted:
                     return
             elif checking:
@@ -257,7 +269,9 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, n + 512))
     try:
-        expand((1 << n) - 1 if n else 0, 0, list(range(n)), 0)
+        expand((1 << n) - 1 if n else 0, 0, list(range(n)), 0, None)
+    except KeyboardInterrupt:  # Ctrl-C: return the incumbent, unproven
+        aborted = True
     finally:
         sys.setrecursionlimit(old_limit)
     elapsed = time.perf_counter() - start

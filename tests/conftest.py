@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from mewclique import (PlsConfig, VertexSet, WeightedGraph,
-                       apply_dimacs_weights, is_clique, parse_dimacs, pls,
-                       set_weight, solve)
+from mewclique import (ColoringWorkspace, PlsConfig, VertexSet,
+                       WeightedGraph, apply_dimacs_weights, is_clique,
+                       parse_dimacs, pls, set_weight, solve)
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = Path(__file__).parent / "data"
@@ -73,6 +73,22 @@ def checkout_env(**overrides):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return env
+
+
+def interrupting_workspace(calls):
+    """A ColoringWorkspace class whose run raises KeyboardInterrupt
+    once it has run `calls` times, as Ctrl-C would mid-search; its
+    copies share the count. Monkeypatch it into mewclique.solver."""
+    left = [calls]
+
+    class Interrupting(ColoringWorkspace):
+        def run(self, s_mask, keys):
+            if not left[0]:
+                raise KeyboardInterrupt
+            left[0] -= 1
+            return super().run(s_mask, keys)
+
+    return Interrupting
 
 
 def with_zero_weights(g):

@@ -1,11 +1,14 @@
-"""Invariants mode over every bundled instance, cold.
+"""Invariants mode over every bundled instance, cold and warm.
 
 Each of the benchmark's nine instances must be proven at its optimum,
-and johnson16-2-4, whose full proof takes 140,558 nodes, must stop at
-the node limit. On the way, invariants mode checks every node's scores,
-bounds and look-ahead skips against the definitions in
-mewclique.bounds. This is not a tier-1 test (it takes about half a
-minute); CI runs it as a step of its own. From the root of a checkout:
+once cold and once after the benchmark's warm start (PLS, 10
+iterations, seed 0), where the root branches choose their coloring
+order against a different incumbent. johnson16-2-4, whose full proof
+takes 142,545 nodes cold, must stop at the node limit. On the way,
+invariants mode checks every node's scores, bounds and look-ahead
+skips against the definitions in mewclique.bounds. This is not a
+tier-1 test (it takes about a minute); CI runs it as a step of its
+own. From the root of a checkout:
 
     PYTHONPATH=src python tests/invariants_full_run.py
 """
@@ -13,7 +16,7 @@ minute); CI runs it as a step of its own. From the root of a checkout:
 import time
 
 from conftest import BENCHMARK_OPTIMA, DATA_DIR, load_dimacs
-from mewclique import SolverConfig, solve
+from mewclique import PlsConfig, SolverConfig, pls, solve
 
 NODE_LIMIT = 20000
 
@@ -22,12 +25,17 @@ def main():
     cfg = SolverConfig(assertion_level="invariants", node_limit=NODE_LIMIT)
     names = sorted(path.stem for path in DATA_DIR.glob("*.clq"))
     assert names == sorted([*BENCHMARK_OPTIMA, "johnson16-2-4"]), names
-    for name in names:
+    runs = [(name, False) for name in names]
+    runs += [(name, True) for name in sorted(BENCHMARK_OPTIMA)]
+    for name, warm in runs:
         start = time.perf_counter()
-        res = solve(load_dimacs(name), config=cfg)
-        print(f"{name}: weight {res.best_weight}, {res.iterations} nodes, "
-              f"proven {res.proven_optimal}, "
-              f"{time.perf_counter() - start:.1f} s", flush=True)
+        g = load_dimacs(name)
+        c_initial = pls(g, PlsConfig(iterations=10, seed=0)) if warm else None
+        res = solve(g, c_initial, cfg)
+        print(f"{name} ({'warm' if warm else 'cold'}): weight "
+              f"{res.best_weight}, {res.iterations} nodes, proven "
+              f"{res.proven_optimal}, {time.perf_counter() - start:.1f} s",
+              flush=True)
         if name in BENCHMARK_OPTIMA:
             assert res.proven_optimal, name
             assert res.best_weight == BENCHMARK_OPTIMA[name], name

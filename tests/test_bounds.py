@@ -265,3 +265,37 @@ def test_look_ahead_soundness():
     assert checked >= 500
     assert violations == 0
     assert tightened > 0
+
+
+def test_heaviest_first_soundness():
+    # criterion 4 for plans colored heaviest-first, built through the
+    # workspace: each bound dominates the best clique through its vertex
+    # and the vertices after it in the order, the scores are the
+    # definition's for the plan's classes, and on some candidate sets
+    # the classes differ from the lightest-first plan's
+    rng = random.Random(83)
+    checked = 0
+    differs = 0
+    for gi in range(500):
+        n = 6 + gi % 11
+        g = gen_random(n, rng.choice([0.2, 0.4, 0.6, 0.8]), 1, 10,
+                       seed=8000 + gi)
+        if gi % 2:
+            g = with_zero_weights(g)
+        s = VertexSet.from_mask(rng.randrange(1, 1 << n))
+        join = [rng.randint(0, 12) for _ in range(n)]
+        ws = ColoringWorkspace(g)
+        ws.heaviest_first = True
+        keys = [join[v] << n.bit_length() | v for v in s]
+        order, upper, class_masks, score = ws.run(s.mask, keys)
+        classes = [VertexSet.from_mask(c) for c in class_masks]
+        assert score == coloring_scores(g, classes, join)
+        assert sorted(order) == list(s) and upper == sorted(upper, reverse=True)
+        later = 0
+        for p, ub in zip(reversed(order), reversed(upper)):
+            assert ub >= _best_weight_containing(g, p, later, join)
+            later |= 1 << p
+        differs += classes != seq_and_bounds(g, s, join).classes
+        checked += 1
+    assert checked >= 500
+    assert differs > 0

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 from mewclique import solve, write_weighted_edge_list
-from mewclique import cli
+from mewclique import cli, solver
 from mewclique.cli import BENCH_FIELDS, REPORT_FIELDS, main
 
-from conftest import ROOT, SIX_EDGES, checkout_env
+from conftest import ROOT, SIX_EDGES, checkout_env, interrupting_workspace
 from mewclique import VertexSet, WeightedGraph
 
 
@@ -149,6 +149,16 @@ class TestSolve:
                      "--node-limit", "5", "--output", "json"]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["proven_optimal"] is False
+
+    def test_ctrl_c_exit_code(self, data_dir, monkeypatch, capsys):
+        # Ctrl-C mid-search reports the incumbent, unproven, as a limit does
+        monkeypatch.setattr(solver, "ColoringWorkspace",
+                            interrupting_workspace(50))
+        path = data_dir / "brock200_2.clq"
+        assert main(["solve", str(path), "--dimacs-auto-weight", "--no-pls",
+                     "--output", "json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["proven_optimal"] is False and report["best_weight"] > 0
 
     @pytest.mark.parametrize("suffix, extra", [
         (".clq", []),                                        # plain DIMACS needs a choice
@@ -298,10 +308,24 @@ class TestBench:
         manifest.write_bytes(data)
         capsys.readouterr()  # drop the gen chatter
         assert main(["bench", "--manifest", str(manifest), "--no-pls"]) == code
-        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        # split at "\n" only: an error row's name may hold U+0085
+        rows = list(csv.DictReader(capsys.readouterr().out.split("\n")))
         assert len(rows) == 2
         assert (rows[0]["error"] == "") == (code == 0)
         assert (rows[0]["best_weight"] != "") == (code == 0)
+
+    def test_error_row_named_by_file_name(self, tmp_path, capsys):
+        # a good row is named by its file's stem, an error row by its
+        # entry's file name, so the two rows below are told apart
+        self._make_instances(tmp_path, count=1)
+        manifest = tmp_path / "list.txt"
+        manifest.write_bytes(b"inst0.wedge\ninst0.wedge\xc2\x85\n")
+        capsys.readouterr()  # drop the gen chatter
+        assert main(["bench", "--manifest", str(manifest), "--no-pls"]) == 1
+        rows = list(csv.DictReader(capsys.readouterr().out.split("\n")))
+        assert [r["instance"] for r in rows] == \
+            ["inst0", "inst0.wedge\x85", "TOTAL"]
+        assert rows[0]["error"] == "" and rows[1]["error"] != ""
 
     def test_manifest_utf8_name(self, tmp_path, capsys):
         folder = tmp_path / "donn\u00e9es"
@@ -379,7 +403,7 @@ class TestBench:
                      "--no-pls"]) == 1
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert [r["instance"] for r in rows] == \
-            ["inst0", "gone", "inst1", "TOTAL"]
+            ["inst0", "gone.wedge", "inst1", "TOTAL"]
         assert rows[1]["error"] != ""
         assert rows[0]["error"] == "" and rows[0]["best_weight"] != ""
 
@@ -401,7 +425,10 @@ class TestBench:
             assert main(["bench", *map(str, paths), "--no-pls",
                          "--jobs", jobs]) == 1
             rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-            assert [r["instance"] for r in rows] == ["inst0", "inst1", "TOTAL"]
+            # inst0's row is an error row too when the pool broke first
+            assert [r["instance"] for r in rows] == \
+                ["inst0.wedge" if rows[0]["error"] else "inst0",
+                 "inst1.wedge", "TOTAL"]
             assert "worker process died" in rows[1]["error"]
 
     def test_limit_exit_code(self, data_dir, tmp_path):
