@@ -146,9 +146,9 @@ class SeqAndBounds:
     score: dict
 
 
-# Above this many members a class is scanned from each leftover's few
-# edges into it instead of over all members: a class that large comes
-# from a sparse graph, where a leftover links to one or two members.
+# Above this many members a class is not read member by member: it comes
+# from a sparse graph, so neighbor-keyed rows push each member's few
+# edges once, and list rows pull each leftover's edges into the class.
 _SCAN_MAX_CLASS = 32
 
 
@@ -195,6 +195,7 @@ class ColoringWorkspace:
         a missing neighbor key) and all weights are >= 0: the heaviest
         edge into a class of up to _SCAN_MAX_CLASS members is then the
         plain max of ``rows[v][u]`` over them, with no adjacency test.
+        A bigger class pushes each member's ``rows[u].items()`` instead.
         """
         adj = self.graph.adj_bits
         rows = self.graph.weight_rows
@@ -247,6 +248,13 @@ class ColoringWorkspace:
             elif len(picked) <= _SCAN_MAX_CLASS:
                 heaviest = itemgetter(*picked)
                 keys = [k + (max(heaviest(rows[k & low])) << sh) for k in left]
+            elif isinstance(rows[picked[0]], dict):  # push: each edge read once
+                top = {}
+                for u in picked:
+                    for v, w in rows[u].items():
+                        if w > top.get(v, 0):
+                            top[v] = w
+                keys = [k + (top.get(k & low, 0) << sh) for k in left]
             else:
                 keys = [k + (_heaviest_edge(rows[k & low], adj[k & low] & cls) << sh)
                         for k in left]

@@ -5,7 +5,8 @@ Subcommands: ``solve`` one instance, ``gen`` a seeded random instance,
 brute-force cross-checks on small instances.
 
 Exit codes: 0 for a proven optimum, 2 when a limit or Ctrl-C cut the
-search short, 1 for any error. Report schema (JSON keys and CSV column
+search short, 1 for any error; Ctrl-C in the warm start skips the search
+and reports no clique, unproven. Report schema (JSON keys and CSV column
 order) is fixed: instance, n, density, lb, pls_time, solve_time,
 total_time, best_weight, clique, iterations, proven_optimal. Bench rows
 append an ``error`` column and the table ends with a TOTAL summary row.
@@ -22,9 +23,10 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import io as instance_io
+from .graph import VertexSet
 from .oracle import DEFAULT_SIZE_LIMIT, brute_force_mewc
 from .pls import PlsConfig, pls
-from .solver import SolverConfig, solve
+from .solver import SolveResult, SolverConfig, solve
 
 REPORT_FIELDS = ("instance", "n", "density", "lb", "pls_time", "solve_time",
                  "total_time", "best_weight", "clique", "iterations",
@@ -62,12 +64,15 @@ def _run_solve(path, auto_weight, unit_weights, pls_iters, seed, time_limit,
     if pls_cfg is not None:
         pls_cfg.validate()
     g = _load_instance(path, auto_weight, unit_weights)
-    c_init, pls_time = None, 0.0
+    c_init, pls_time, result = None, 0.0, None
     if pls_cfg is not None:
         t0 = time.perf_counter()
-        c_init = pls(g, pls_cfg)
+        try:
+            c_init = pls(g, pls_cfg)
+        except KeyboardInterrupt:  # Ctrl-C: unproven, nothing found, no search
+            result = SolveResult(VertexSet(), 0, False, 0, 0.0, 0)
         pls_time = time.perf_counter() - t0
-    result = solve(g, c_init, solver_cfg)
+    result = result or solve(g, c_init, solver_cfg)
     return {
         "instance": Path(path).stem,
         "n": g.n,

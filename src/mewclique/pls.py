@@ -6,9 +6,11 @@ one-for-one swap (bring in a vertex that misses exactly one member,
 drop that member), or, when stuck, restarts from a random vertex. The
 three phases differ only in how the entering vertex is picked among the
 candidates: uniformly at random, by lowest penalty counter, or by
-heaviest total edge weight into the other candidates. Penalty counters
-record how often a vertex sat in a stuck clique and decay every ten
-restarts, steering later restarts away from over-visited regions.
+heaviest total edge weight into the other candidates (0, unsummed, for
+one with no neighbor among them). Penalty counters record how often a
+vertex sat in a stuck clique and decay every ten restarts (only the
+positive ones, kept as a mask), steering later restarts away from
+over-visited regions.
 
 The swap scan works from the clique's own members, not from all n
 vertices. Once the clique C is maximal, the vertices that miss exactly
@@ -73,7 +75,7 @@ def pls(g: WeightedGraph, config: PlsConfig | None = None) -> VertexSet:
     adj = g.adj_bits
     rows = g.weight_rows
     full = (1 << n) - 1
-    penalties = [0] * n
+    penalties, penalized = [0] * n, 0  # penalized: mask of those > 0
     restarts = 0
 
     v0 = rng.randrange(n)
@@ -83,15 +85,16 @@ def pls(g: WeightedGraph, config: PlsConfig | None = None) -> VertexSet:
     cand = adj[v0]
     best_mask, best_w = cmask, 0
 
-    def pick(cands, mode):
-        # cands is ascending; every policy is deterministic given the rng state
+    def pick(cands, mode, pool=None):
+        # cands is ascending, pool None or their mask; rng-deterministic
         if mode == "random":
             return cands[rng.randrange(len(cands))]
         if mode == "penalty":
             return min(cands, key=lambda v: (penalties[v], v))
         best_v, best_s = cands[0], -1
-        for v in cands:
-            s = sum(map(rows[v].__getitem__, cands))  # rows[v][v] == 0
+        pool = sum(1 << v for v in cands) if pool is None else pool
+        for v in cands:  # rows[v][v] == 0, and 0 with no neighbor in pool
+            s = sum(map(rows[v].__getitem__, cands)) if adj[v] & pool else 0
             if s > best_s:
                 best_v, best_s = v, s
         return best_v
@@ -100,7 +103,7 @@ def pls(g: WeightedGraph, config: PlsConfig | None = None) -> VertexSet:
         for mode, steps in PHASES:
             for _ in range(steps):
                 if cand:
-                    v = pick(_bits(cand), mode)
+                    v = pick(_bits(cand), mode, cand)
                     cweight += sum(map(rows[v].__getitem__, members))
                     members.append(v)
                     cmask |= 1 << v
@@ -143,9 +146,13 @@ def pls(g: WeightedGraph, config: PlsConfig | None = None) -> VertexSet:
                     # stuck: penalize the members and restart elsewhere
                     for x in members:
                         penalties[x] += 1
+                    penalized |= cmask
                     restarts += 1
                     if restarts % 10 == 0:
-                        penalties = [p - 1 if p > 0 else 0 for p in penalties]
+                        for x in _bits(penalized):
+                            penalties[x] -= 1
+                            if not penalties[x]:
+                                penalized ^= 1 << x
                     v0 = rng.randrange(n)
                     members = [v0]
                     cmask = 1 << v0

@@ -4,11 +4,13 @@ Each of the benchmark's nine instances must be proven at its optimum,
 once cold and once after the benchmark's warm start (PLS, 10
 iterations, seed 0), where the root branches choose their coloring
 order against a different incumbent. johnson16-2-4, whose full proof
-takes 142,545 nodes cold, must stop at the node limit. On the way,
-invariants mode checks every node's scores, bounds and look-ahead
-skips against the definitions in mewclique.bounds. This is not a
-tier-1 test (it takes about a minute); CI runs it as a step of its
-own. From the root of a checkout:
+takes 142,545 nodes cold, must stop at the node limit. A sparse-large
+sized graph (n = 3000, density 0.005), whose root coloring makes
+classes of hundreds of members, must be proven at its brute-force
+optimum, cold and warm. On the way, invariants mode checks every
+node's scores, bounds and look-ahead skips against the definitions in
+mewclique.bounds. This is not a tier-1 test (it takes about a minute);
+CI runs it as a step of its own. From the root of a checkout:
 
     PYTHONPATH=src python tests/invariants_full_run.py
 """
@@ -16,7 +18,8 @@ own. From the root of a checkout:
 import time
 
 from conftest import BENCHMARK_OPTIMA, DATA_DIR, load_dimacs
-from mewclique import PlsConfig, SolverConfig, pls, solve
+from mewclique import (PlsConfig, SolverConfig, brute_force_mewc,
+                       gen_random, pls, solve)
 
 NODE_LIMIT = 20000
 
@@ -25,20 +28,24 @@ def main():
     cfg = SolverConfig(assertion_level="invariants", node_limit=NODE_LIMIT)
     names = sorted(path.stem for path in DATA_DIR.glob("*.clq"))
     assert names == sorted([*BENCHMARK_OPTIMA, "johnson16-2-4"]), names
+    sparse = gen_random(3000, 0.005, 1, 200, seed=1)
+    optima = {**BENCHMARK_OPTIMA,
+              "sparse3000": brute_force_mewc(sparse, n_limit=sparse.n)[1]}
     runs = [(name, False) for name in names]
     runs += [(name, True) for name in sorted(BENCHMARK_OPTIMA)]
+    runs += [("sparse3000", False), ("sparse3000", True)]
     for name, warm in runs:
         start = time.perf_counter()
-        g = load_dimacs(name)
+        g = sparse if name == "sparse3000" else load_dimacs(name)
         c_initial = pls(g, PlsConfig(iterations=10, seed=0)) if warm else None
         res = solve(g, c_initial, cfg)
         print(f"{name} ({'warm' if warm else 'cold'}): weight "
               f"{res.best_weight}, {res.iterations} nodes, proven "
               f"{res.proven_optimal}, {time.perf_counter() - start:.1f} s",
               flush=True)
-        if name in BENCHMARK_OPTIMA:
+        if name in optima:
             assert res.proven_optimal, name
-            assert res.best_weight == BENCHMARK_OPTIMA[name], name
+            assert res.best_weight == optima[name], name
         else:
             assert not res.proven_optimal and res.iterations == NODE_LIMIT, name
 

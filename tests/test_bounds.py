@@ -5,7 +5,7 @@ import pytest
 from mewclique import (ColoringWorkspace, VertexSet, WeightedGraph,
                        brute_force_mewc, coloring_scores, gen_random,
                        seq_and_bounds, vertex_weighted_upper_bound)
-from mewclique.bounds import look_ahead_bounds
+from mewclique.bounds import _SCAN_MAX_CLASS, look_ahead_bounds
 
 from conftest import SIX_VERTEX_WEIGHTS, induced_weighted, with_zero_weights
 
@@ -165,9 +165,11 @@ class TestPlanProperties:
             join = [rng.randint(0, 12) for _ in range(n)]
             yield g, s_mask, join
         # then weight-0 edges, one dense graph (density 0.956) whole, and
-        # four sparse ones whose biggest classes (up to ~50 members) are
-        # scanned edge by edge instead of member by member; the last
-        # (n = 300) is stored as neighbor-keyed weight rows
+        # five sparse ones whose biggest classes (up to ~50 members, ~550
+        # at n = 3000) are read edge by edge instead of member by member;
+        # the last two (n = 300, 3000) are stored as neighbor-keyed weight
+        # rows, whose big classes push their edges, and the n = 100 ones
+        # as lists, whose big classes pull
         for i in range(count // 5):
             n = 3 + i % (max_n - 2)
             g = with_zero_weights(gen_random(n, rng.choice([0.5, 0.8]), 1, 10, seed=i))
@@ -176,6 +178,8 @@ class TestPlanProperties:
                                    (100, 0.03, 2), (300, 0.01, 0)]:
             yield (gen_random(n, density, 1, 10, seed=g_seed), (1 << n) - 1,
                    [rng.randint(0, 12) for _ in range(n)])
+        yield (gen_random(3000, 0.005, 1, 200, seed=1), (1 << 3000) - 1,
+               [rng.randint(0, 12) for _ in range(3000)])
 
     def test_structural_invariants(self):
         for g, s_mask, join in self._random_subproblems(300, 16, seed=3):
@@ -196,10 +200,28 @@ class TestPlanProperties:
                 assert plan.upper[v] >= plan.score[v] >= join[v] >= 0
 
     def test_score_accounting(self):
-        # final scores must equal the definition's, for the plan's coloring
+        # final scores must equal the definition's, for the plan's coloring,
+        # lightest-first and heaviest-first
         for g, s_mask, join in self._random_subproblems(150, 14, seed=4):
             plan = seq_and_bounds(g, VertexSet.from_mask(s_mask), join)
             assert plan.score == coloring_scores(g, plan.classes, join)
+            ws = ColoringWorkspace(g)
+            ws.heaviest_first = True
+            sh = g.n.bit_length()
+            keys = [join[v] << sh | v for v in VertexSet.from_mask(s_mask)]
+            _, _, class_masks, score = ws.run(s_mask, keys)
+            classes = [VertexSet.from_mask(c) for c in class_masks]
+            assert score == coloring_scores(g, classes, join)
+
+    def test_big_classes_in_both_row_forms(self):
+        # the subproblems must keep a class above _SCAN_MAX_CLASS with
+        # neighbor-keyed rows (pushed) and with list rows (pulled)
+        forms = set()
+        for g, s_mask, join in self._random_subproblems(10, 14, seed=4):
+            plan = seq_and_bounds(g, VertexSet.from_mask(s_mask), join)
+            if max(map(len, plan.classes)) > _SCAN_MAX_CLASS:
+                forms.add("dict" if isinstance(g.weight_rows[0], dict) else "list")
+        assert forms == {"dict", "list"}
 
     def test_prefix_soundness(self):
         # upper[p_i] must dominate the best clique through p_i that only
@@ -217,7 +239,7 @@ class TestPlanProperties:
         for g, s_mask, join in self._random_subproblems(100, 14, seed=6):
             plan = seq_and_bounds(g, VertexSet.from_mask(s_mask), join)
             sub, sub_join = induced_weighted(g, s_mask, join)
-            best = brute_force_mewc(sub, sub_join, n_limit=300)[1]  # sparse
+            best = brute_force_mewc(sub, sub_join, n_limit=sub.n)[1]  # sparse
             assert best <= plan.upper[plan.order[0]]
 
 

@@ -160,6 +160,30 @@ class TestSolve:
         report = json.loads(capsys.readouterr().out)
         assert report["proven_optimal"] is False and report["best_weight"] > 0
 
+    def test_ctrl_c_in_warm_start(self, data_dir, monkeypatch, capsys):
+        # Ctrl-C in PLS exits as one in the search does, with no traceback,
+        # and the search never starts
+        def interrupted(g, cfg):
+            raise KeyboardInterrupt
+
+        def no_search(*args):
+            raise AssertionError("the search ran after Ctrl-C")
+
+        monkeypatch.setattr(cli, "pls", interrupted)
+        monkeypatch.setattr(cli, "solve", no_search)
+        path = data_dir / "johnson8-2-4.clq"
+        assert main(["solve", str(path), "--dimacs-auto-weight",
+                     "--output", "json"]) == 2
+        out = capsys.readouterr()
+        report = json.loads(out.out)
+        assert list(report) == list(REPORT_FIELDS) and out.err == ""
+        assert {k: report[k] for k in ("lb", "best_weight", "clique",
+                                       "iterations", "proven_optimal")} == {
+            "lb": 0, "best_weight": 0, "clique": [], "iterations": 0,
+            "proven_optimal": False}
+        assert report["solve_time"] == 0
+        assert report["total_time"] == report["pls_time"] >= 0
+
     @pytest.mark.parametrize("suffix, extra", [
         (".clq", []),                                        # plain DIMACS needs a choice
         (".clq", ["--dimacs-auto-weight", "--unit-weights"]),  # but not both

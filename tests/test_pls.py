@@ -19,10 +19,13 @@ def _bits(mask):
     return out
 
 
-def _reference_pls(g, config=None):
+def _reference_pls(g, config=None, counts=None):
     """The phased local search as first written: an O(n) swap scan over
     every vertex, generator sums and bit walks of the clique mask. Slow
-    on purpose; pls must follow the same trajectory step for step."""
+    on purpose; pls must follow the same trajectory step for step.
+    A `counts` dict, if given, gets the run's "restarts" and its
+    "lone_picks": degree picks among whose candidates one has no
+    neighbor among the others."""
     cfg = config or PlsConfig()
     cfg.validate()
     n = g.n
@@ -34,6 +37,7 @@ def _reference_pls(g, config=None):
     full = (1 << n) - 1
     penalties = [0] * n
     restarts = 0
+    lone_picks = [0]
 
     cmask = 1 << rng.randrange(n)
     cweight = 0
@@ -46,6 +50,8 @@ def _reference_pls(g, config=None):
         if mode == "penalty":
             return min(cands, key=lambda v: (penalties[v], v))
         best_v, best_s = cands[0], -1
+        pool = sum(1 << u for u in cands)
+        lone_picks[0] += any(not adj[v] & pool for v in cands)
         for v in cands:
             row = rows[v]
             s = sum(row[u] for u in cands if u != v)
@@ -100,6 +106,8 @@ def _reference_pls(g, config=None):
                     cweight = 0
                     cand = adj[v0]
 
+    if counts is not None:
+        counts.update(restarts=restarts, lone_picks=lone_picks[0])
     out = VertexSet.from_mask(best_mask)
     assert is_clique(g, out) and set_weight(g, out) == best_w
     return out
@@ -143,10 +151,15 @@ def test_matches_reference_on_random_graphs():
 
 def test_matches_reference_on_sparse_graphs():
     # n = 400 at density 0.01 is stored as neighbor-keyed weight rows, so
-    # every swap gain here reads non-edges as missing keys
+    # every swap gain here reads non-edges as missing keys; enough
+    # restarts that penalties decay while some are positive, and degree
+    # picks that skip the sum of a candidate with no neighbor among them
     for seed in range(3):
         g = gen_random(400, 0.01, 1, 10, seed=seed)
-        _assert_same_trajectory(g, PlsConfig(seed=seed))
+        cfg = PlsConfig(seed=seed)
+        counts = {}
+        assert pls(g, cfg).mask == _reference_pls(g, cfg, counts).mask
+        assert counts["restarts"] >= 20 and counts["lone_picks"] >= 1, counts
 
 
 @pytest.mark.parametrize("name", ["MANN_a9", "johnson8-4-4"])
