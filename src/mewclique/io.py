@@ -14,11 +14,13 @@ Two text formats are supported, both read by one parser:
 A file's ``p`` line names its format, whatever the file is called:
 ``instance_format`` reads it, and ``read_instance`` parses by it.
 
-Lines end only at ``"\n"``, and only ``c`` comment lines may hold
-non-ASCII or control characters (a tab, or a ``"\r"`` that ends the
-line, is a blank); ``read_instance`` decodes Latin-1, which maps every
-byte, with universal newlines. The declared vertex count is
-authoritative, the edge count unchecked (files in the wild disagree).
+Lines end only at ``"\n"``, and only ``c`` comment lines may hold non-ASCII
+or control characters (a tab, or a ``"\r"`` that ends the line, is a blank);
+lines are tested one by one only when a test of the whole text fails. Edges
+stream into ``WeightedGraph``, which makes every range, self-loop, weight
+and duplicate check. ``read_instance`` decodes Latin-1, which maps every
+byte, with universal newlines. The declared vertex count is authoritative,
+the edge count unchecked (files in the wild disagree).
 
 ``apply_dimacs_weights`` attaches the conventional deterministic
 benchmark weighting to a plain DIMACS graph, and ``gen_random`` draws
@@ -44,23 +46,24 @@ class ParseError(ValueError):
 _FORMAT_OF_TAG = {"edge": "dimacs", "wedge": "wedge"}
 
 
-def _content_lines(text):
+def _printable(s):
+    # int() would read '1_0' as 10 and an Arabic-Indic two as 2, and
+    # split() and int() take "\x0b", "\x0c", "\x1c"-"\x1f" and "\r" for
+    # blanks; so a content line holds printable ASCII bar '_' and '+',
+    # tabs and a final "\r". A whole text that passes has no line that fails.
+    return s.isascii() and not ("_" in s or "+" in s) and (
+        s.rstrip("\r").replace("\n", " ").replace("\t", " ").isprintable())
+
+
+def _content_lines(text, clean):
     # not splitlines(), which also breaks at "\x0c", "\x85" and "\u2028"
     for line_no, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split()
-        if not tokens or tokens[0] == "c":
-            continue
-        # int() would read '1_0' as 10 and an Arabic-Indic two as 2, and
-        # split() and int() take "\x0b", "\x0c", "\x1c"-"\x1f" and "\r" for
-        # blanks; so a content line holds printable ASCII bar '_' and '+',
-        # tabs and a final "\r", and the int() calls below accept only
-        # ASCII digits with an optional '-'
-        if "_" in raw or "+" in raw or not raw.isascii() or not (
-                raw.isprintable()
-                or raw.rstrip("\r").replace("\t", " ").isprintable()):
-            raise ParseError("'_', '+', a control or a non-ASCII character "
-                             "outside a comment", line_no)
-        yield line_no, tokens
+        if tokens and tokens[0] != "c":
+            if not (clean or _printable(raw)):
+                raise ParseError("'_', '+', a control or a non-ASCII character "
+                                 "outside a comment", line_no)
+            yield line_no, tokens
 
 
 def _parse_header(tokens, line_no):
@@ -75,46 +78,53 @@ def _parse_header(tokens, line_no):
     return tokens[1], n
 
 
+def _edges(lines, n, weighted):
+    seen = set()  # DIMACS edges read so far, as int keys i * n + j, i < j
+    for line_no, tokens in lines:
+        if tokens[0] != "e":
+            raise ParseError("duplicate problem line" if tokens[0] == "p" else
+                             f"unrecognized line type {tokens[0]!r}", line_no)
+        if len(tokens) != 3 + weighted:
+            raise ParseError("expected 'e <i> <j> <w>'" if weighted
+                             else "expected 'e <i> <j>'", line_no)
+        try:
+            i, j = int(tokens[1]), int(tokens[2])
+            w = int(tokens[3]) if weighted else 1
+        except ValueError:
+            raise ParseError("non-integer token in edge line", line_no) from None
+        if not weighted:
+            a, b = (i, j) if i < j else (j, i)
+            if a * n + b in seen and 0 < a and b <= n:
+                continue  # a repeated DIMACS edge collapses into one
+            seen.add(a * n + b)
+        try:
+            yield i - 1, j - 1, w
+        except ValueError:  # refused by WeightedGraph: say why in the line's terms
+            raise ParseError(f"self-loop on vertex {i}" if i == j else (
+                f"vertex index out of range in 'e {i} {j}'"
+                if not (0 < i <= n and 0 < j <= n) else
+                f"negative edge weight {w}" if w < 0 else
+                f"duplicate edge ({i}, {j})"), line_no) from None
+
+
 def _parse(text, tag) -> WeightedGraph:
     """Parse instance text whose ``p`` line must carry ``tag``."""
-    weighted = tag == "wedge"
-    n = None
-    edges = {}
-    for line_no, tokens in _content_lines(text):
-        kind = tokens[0]
-        if kind == "p":
-            if n is not None:
-                raise ParseError("duplicate problem line", line_no)
-            found, n = _parse_header(tokens, line_no)
-            if found != tag:
-                raise ParseError(f"expected 'p {tag}' header", line_no)
-        elif kind == "e":
-            if n is None:
-                raise ParseError("edge line before problem line", line_no)
-            if len(tokens) != 3 + weighted:
-                raise ParseError("expected 'e <i> <j> <w>'" if weighted
-                                 else "expected 'e <i> <j>'", line_no)
-            try:
-                i, j = int(tokens[1]), int(tokens[2])
-                w = int(tokens[3]) if weighted else 1
-            except ValueError:
-                raise ParseError("non-integer token in edge line", line_no) from None
-            if i == j:
-                raise ParseError(f"self-loop on vertex {i}", line_no)
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ParseError(f"vertex index out of range in 'e {i} {j}'", line_no)
-            if w < 0:
-                raise ParseError(f"negative edge weight {w}", line_no)
-            key = (min(i, j) - 1) * n + max(i, j) - 1
-            if weighted and key in edges:
-                raise ParseError(f"duplicate edge ({i}, {j})", line_no)
-            edges[key] = w
-        else:
-            raise ParseError(f"unrecognized line type {kind!r}", line_no)
-    if n is None:
-        raise ParseError("missing problem line")
-    # int keys u * n + v take less memory than (u, v) tuples
-    return WeightedGraph(n, ((k // n, k % n, w) for k, w in edges.items()))
+    lines = _content_lines(text, _printable(text))
+    line_no, tokens = next(lines, (None, None))
+    if tokens is None or tokens[0] != "p":
+        raise ParseError("missing problem line" if tokens is None else
+                         "edge line before problem line" if tokens[0] == "e"
+                         else f"unrecognized line type {tokens[0]!r}", line_no)
+    found, n = _parse_header(tokens, line_no)
+    if found != tag:
+        raise ParseError(f"expected 'p {tag}' header", line_no)
+    edges = _edges(lines, n, tag == "wedge")
+    try:
+        return WeightedGraph(n, edges)
+    except ParseError:
+        raise
+    except ValueError as refused:
+        edges.throw(refused)  # raised at the edge's line as a ParseError
 
 
 def parse_dimacs(text) -> WeightedGraph:
@@ -173,7 +183,7 @@ def gen_random(n, density, w_min=1, w_max=10, seed=0) -> WeightedGraph:
 
 def instance_format(text) -> str:
     """The format an instance's ``p`` line names: "dimacs" or "wedge"."""
-    for line_no, tokens in _content_lines(text):
+    for line_no, tokens in _content_lines(text, False):
         if tokens[0] == "p":
             return _FORMAT_OF_TAG[_parse_header(tokens, line_no)[0]]
     raise ParseError("missing problem line")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mewclique
+import mewclique.io as mio
 from mewclique import (ParseError, VertexSet, WeightedGraph,
                        apply_dimacs_weights, gen_random, parse_dimacs,
                        parse_weighted_edge_list, read_instance,
@@ -123,6 +124,61 @@ WEDGE_ERRORS = [
 ]
 
 
+# (parser tag, text, the full message): one case or more per kind of
+# ParseError, so that where a check runs cannot change what it says
+ERROR_MESSAGES = [
+    ("edge", "p edge 11 1\ne 1_0 2",
+     "line 2: '_', '+', a control or a non-ASCII character outside a comment"),
+    ("wedge", "c café\np wedge 2 1\ne 1 2 +5\n",
+     "line 3: '_', '+', a control or a non-ASCII character outside a comment"),
+    ("edge", "p edge 2\ne 1 2",
+     "line 1: expected 'p edge <n> <m>' or 'p wedge <n> <m>'"),
+    ("edge", "p edge 2 x", "line 1: non-integer counts in problem line"),
+    ("wedge", "p wedge -2 1", "line 1: negative counts in problem line"),
+    ("wedge", "p edge 2 1\ne 1 2 1", "line 1: expected 'p wedge' header"),
+    ("edge", "p wedge 2 1\ne 1 2", "line 1: expected 'p edge' header"),
+    ("edge", "p edge 2 1\n\np edge 2 1", "line 3: duplicate problem line"),
+    ("wedge", "c x\ne 1 2 1\np wedge 2 1", "line 2: edge line before problem line"),
+    ("edge", "p edge 2 1\ne 1", "line 2: expected 'e <i> <j>'"),
+    ("wedge", "p wedge 2 1\ne 1 2", "line 2: expected 'e <i> <j> <w>'"),
+    ("edge", "p edge 2 1\ne 1 2 3", "line 2: expected 'e <i> <j>'"),
+    ("edge", "p edge 2 1\ne 1 x", "line 2: non-integer token in edge line"),
+    ("wedge", "p wedge 2 1\ne 1 2 1.5", "line 2: non-integer token in edge line"),
+    ("edge", "p edge 2 1\ne 1 1", "line 2: self-loop on vertex 1"),
+    # the self-loop check comes before the range check
+    ("wedge", "p wedge 2 1\ne 05 5 -1", "line 2: self-loop on vertex 5"),
+    ("edge", "p edge 2 1\ne 01 3", "line 2: vertex index out of range in 'e 1 3'"),
+    ("wedge", "p wedge 2 1\ne -1 2 -4",
+     "line 2: vertex index out of range in 'e -1 2'"),
+    ("edge", "p edge 2 1\ne 0 1", "line 2: vertex index out of range in 'e 0 1'"),
+    # a repeated edge collapses in DIMACS, but an out-of-range pair is
+    # never taken for one, whatever it would index
+    ("edge", "p edge 3 2\ne 2 3\ne 1 6",
+     "line 3: vertex index out of range in 'e 1 6'"),
+    ("edge", "p edge 3 2\ne 2 3\ne 3 2\ne 12 -1",
+     "line 4: vertex index out of range in 'e 12 -1'"),
+    ("edge", "p edge 3 2\ne 2 3\ne 0 9",
+     "line 3: vertex index out of range in 'e 0 9'"),
+    ("wedge", "p wedge 2 1\ne 1 2 -03", "line 2: negative edge weight -3"),
+    ("wedge", "p wedge 3 2\ne 1 2 1\nc\ne 2 1 1",
+     "line 4: duplicate edge (2, 1)"),
+    ("wedge", "p wedge 3 2\ne 3 2 0\ne 2 3 0", "line 3: duplicate edge (2, 3)"),
+    ("edge", "p edge 2 1\nq 1 2", "line 2: unrecognized line type 'q'"),
+    ("wedge", "E 1 2 1\np wedge 2 1", "line 1: unrecognized line type 'E'"),
+    ("edge", "c only a comment\n", "missing problem line"),
+    ("wedge", "", "missing problem line"),
+]
+
+
+@pytest.mark.parametrize("tag,text,message", ERROR_MESSAGES,
+                         ids=[text for _, text, _ in ERROR_MESSAGES])
+def test_error_messages(tag, text, message):
+    parse = parse_dimacs if tag == "edge" else parse_weighted_edge_list
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 class TestWeightedEdgeList:
     def test_write_sample(self, g6):
         text = write_weighted_edge_list(g6)
@@ -144,6 +200,24 @@ class TestWeightedEdgeList:
             h = parse_weighted_edge_list(text)
             assert h == g and write_weighted_edge_list(h) == text
 
+    def test_rows_switch_form_mid_stream(self):
+        # n = 100 starts with neighbor-keyed rows and switches to lists at
+        # its 29th edge, while the parser is still streaming edges in
+        g = gen_random(100, 0.5, 1, 200, seed=3)
+        assert g.m > 1000 and all(type(row) is list for row in g.weight_rows)
+        text = write_weighted_edge_list(g)
+        h = parse_weighted_edge_list(text)
+        assert h == g and write_weighted_edge_list(h) == text
+        u, v, _ = next(g.edges())
+        last = g.m + 2  # the line after the last edge line
+        for extra, message in [
+                (f"e {v + 1} {u + 1} 5", f"duplicate edge ({v + 1}, {u + 1})"),
+                ("e 1 2 -5", "negative edge weight -5"),
+                ("e 7 101 1", "vertex index out of range in 'e 7 101'")]:
+            with pytest.raises(ParseError) as exc:
+                parse_weighted_edge_list(text + extra)
+            assert str(exc.value) == f"line {last}: {message}"
+
     @pytest.mark.parametrize("text,line", WEDGE_ERRORS,
                              ids=[text for text, _ in WEDGE_ERRORS])
     def test_errors(self, text, line):
@@ -152,6 +226,25 @@ class TestWeightedEdgeList:
         assert exc.value.line == line
         if line is not None:
             assert f"line {line}" in str(exc.value)
+
+
+def test_whole_text_test_spares_the_line_checks(monkeypatch):
+    checked = []
+
+    def recording(s):
+        checked.append(s)
+        return printable(s)
+
+    printable = mio._printable
+    monkeypatch.setattr(mio, "_printable", recording)
+    text = write_weighted_edge_list(gen_random(3000, 0.005, 1, 200, seed=1))
+    g = parse_weighted_edge_list(text)
+    assert checked == [text]  # the whole text once, and no line
+    checked.clear()
+    # a non-ASCII comment fails the whole-text test: then each content
+    # line is checked, once
+    assert parse_weighted_edge_list("c caf\xe9\n" + text) == g
+    assert checked[1:] == text.split("\n")[:-1]
 
 
 class TestGenRandom:
@@ -191,6 +284,73 @@ class TestGenRandom:
 def test_round_trip_is_identity(seed, n, density):
     g = gen_random(n, density, 1, 10, seed=seed)
     assert parse_weighted_edge_list(write_weighted_edge_list(g)) == g
+
+
+# Every number is small, header n at most 64: storage still grows with
+# the n a header declares (ROADMAP item 5, Step A)
+_SMALL = st.integers(-1, 9).map(str)
+_JUNK = st.lists(st.one_of(_SMALL, st.sampled_from(
+    ["c", "p", "e", "edge", "wedge", "-", "_", "+", "\xe9", "\x0b", "\r",
+     "1_0", "+1", "07", "x"])), max_size=5)
+
+
+@st.composite
+def _instance(draw):
+    """(tag, lines): instance text lines, mostly well formed for tag."""
+    tag = draw(st.sampled_from(["edge", "wedge"]))
+    n = draw(st.integers(-1, 64))
+    header = st.tuples(st.just("p"), st.sampled_from([tag] * 3 + ["edge", "wedge"]),
+                       st.just(str(n)), _SMALL)
+    vertex = st.integers(0, min(n, 9) + 1).map(str)  # 0 and n + 1 out of range
+    edge = st.tuples(*[st.just("e"), vertex, vertex, _SMALL][:3 + (tag == "wedge")])
+
+    def lines(*shapes, size):
+        line = st.builds(lambda t, blank, end: blank.join(t) + end,
+                         st.sampled_from(shapes).flatmap(lambda shape: shape),
+                         st.sampled_from([" "] * 5 + ["\t", " \t ", "\r", "\x0b"]),
+                         st.sampled_from(["", "", "\r"]))
+        return draw(st.lists(line, min_size=size[0], max_size=size[1]))
+
+    return tag, (lines(*[header] * 8, edge, _JUNK, size=(1, 1))
+                 + lines(*[edge] * 20, header, _JUNK, size=(0, 12)))
+
+
+def _outcome(lines, tag):
+    try:
+        return mio._parse("\n".join(lines), tag), None
+    except ParseError as exc:
+        return None, exc
+
+
+@given(instance=_instance())
+@settings(max_examples=250, deadline=None)
+def test_parse_fuzz(instance):
+    # a graph or a ParseError naming a line of the text, nothing else
+    tag, lines = instance
+    g, exc = _outcome(lines, tag)
+    if exc is None:
+        assert isinstance(g, WeightedGraph)
+    else:
+        assert exc.line is None or 1 <= exc.line <= max(len(lines), 1)
+
+
+@given(instance=_instance(), data=st.data(),
+       char=st.sampled_from(["_", "+", "\xe9", "\x0b"]))
+@settings(max_examples=250, deadline=None)
+def test_comment_fails_the_whole_text_test_only(instance, data, char):
+    # such a comment sends every line through the per-line check, which
+    # must then read the text exactly as the whole-text test did
+    tag, lines = instance
+    at = data.draw(st.integers(0, len(lines)))
+    g, exc = _outcome(lines, tag)
+    g2, exc2 = _outcome(lines[:at] + [f"c {char}"] + lines[at:], tag)
+    assert g2 == g
+    if exc is None:
+        assert exc2 is None
+    else:
+        line = exc.line if exc.line is None or exc.line <= at else exc.line + 1
+        message = str(exc).removeprefix(f"line {exc.line}: ")
+        assert (exc2.line, str(exc2)) == (line, str(ParseError(message, line)))
 
 
 class TestReadInstance:
