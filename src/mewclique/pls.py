@@ -5,12 +5,15 @@ vertex adjacent to the whole clique, performs a strictly improving
 one-for-one swap (bring in a vertex that misses exactly one member,
 drop that member), or, when stuck, restarts from a random vertex. The
 three phases differ only in how the entering vertex is picked among the
-candidates: uniformly at random, by lowest penalty counter, or by
-heaviest total edge weight into the other candidates (0, unsummed, for
+candidates, each read straight from their mask: uniformly at random
+(the r-th lowest set bit for r = randrange(popcount)), by lowest
+penalty counter, lowest index on ties, or by heaviest total edge weight
+into the other candidates (one `itemgetter` per pick; 0, unsummed, for
 one with no neighbor among them). Penalty counters record how often a
-vertex sat in a stuck clique and decay every ten restarts (only the
-positive ones, kept as a mask), steering later restarts away from
-over-visited regions.
+vertex sat in a stuck clique and decay every ten restarts. The mask
+`penalized` is exactly the vertices with a positive penalty, so a
+penalty pick is the lowest candidate outside it, and only when every
+candidate is penalized does it compare counters.
 
 The swap scan works from the clique's own members, not from all n
 vertices. Once the clique C is maximal, the vertices that miss exactly
@@ -18,9 +21,9 @@ member u are the common neighbours of C minus u (u itself aside), and
 prefix and suffix ANDs of the members' neighbour masks give those sets
 for every u at once. A step therefore costs O(|C|) big-int ANDs plus
 the swap candidates, rather than O(n). A swap's gain is then
-sum_C w(v, .) - sum_C w(u, .), two C-level sums over the member list;
-this is exact because non-edges weigh 0 (w(v, u) = 0) and the diagonal
-is 0 (w(u, u) = 0).
+sum_C w(v, .) - sum_C w(u, .), each sum over one `itemgetter` of the
+members; this is exact because non-edges weigh 0 (w(v, u) = 0) and
+the diagonal is 0 (w(u, u) = 0).
 
 The best clique seen anywhere is returned; it is always feasible, and
 for a fixed seed the run is deterministic. Solution quality is
@@ -30,6 +33,7 @@ its weight as the initial pruning threshold.
 
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .graph import VertexSet, WeightedGraph, is_clique, set_weight
 
@@ -71,30 +75,38 @@ def pls(g: WeightedGraph, config: PlsConfig | None = None) -> VertexSet:
     n = g.n
     if n == 0:
         return VertexSet()
-    rng = random.Random(cfg.seed)
+    randrange = random.Random(cfg.seed).randrange
     adj = g.adj_bits
     rows = g.weight_rows
     full = (1 << n) - 1
     penalties, penalized = [0] * n, 0  # penalized: mask of those > 0
     restarts = 0
 
-    v0 = rng.randrange(n)
+    v0 = randrange(n)
     members = [v0]
     cmask = 1 << v0
     cweight = 0
     cand = adj[v0]
     best_mask, best_w = cmask, 0
 
-    def pick(cands, mode, pool=None):
-        # cands is ascending, pool None or their mask; rng-deterministic
-        if mode == "random":
-            return cands[rng.randrange(len(cands))]
-        if mode == "penalty":
-            return min(cands, key=lambda v: (penalties[v], v))
+    def pick(mask, mode):
+        # the vertex the phase takes from a nonempty mask; rng-deterministic
+        if mode == "random":  # the r-th lowest candidate
+            for _ in range(randrange(mask.bit_count())):
+                mask &= mask - 1
+            return (mask & -mask).bit_length() - 1
+        if mode == "penalty":  # lowest index among the least penalized
+            free = mask & ~penalized
+            if free:
+                return (free & -free).bit_length() - 1
+            return min(_bits(mask), key=penalties.__getitem__)
+        cands = _bits(mask)
+        if len(cands) == 1:
+            return cands[0]
+        get = itemgetter(*cands)
         best_v, best_s = cands[0], -1
-        pool = sum(1 << v for v in cands) if pool is None else pool
-        for v in cands:  # rows[v][v] == 0, and 0 with no neighbor in pool
-            s = sum(map(rows[v].__getitem__, cands)) if adj[v] & pool else 0
+        for v in cands:  # rows[v][v] == 0, and 0 with no neighbor in mask
+            s = sum(get(rows[v])) if adj[v] & mask else 0
             if s > best_s:
                 best_v, best_s = v, s
         return best_v
@@ -103,7 +115,7 @@ def pls(g: WeightedGraph, config: PlsConfig | None = None) -> VertexSet:
         for mode, steps in PHASES:
             for _ in range(steps):
                 if cand:
-                    v = pick(_bits(cand), mode, cand)
+                    v = pick(cand, mode)
                     cweight += sum(map(rows[v].__getitem__, members))
                     members.append(v)
                     cmask |= 1 << v
@@ -115,9 +127,10 @@ def pls(g: WeightedGraph, config: PlsConfig | None = None) -> VertexSet:
                 # pre[i] & suf[i + 1] is the common neighbourhood of every
                 # member but u = members[i]; with cand empty, its vertices
                 # other than u miss exactly u.
-                swaps = {}
+                swaps, smask = {}, 0
                 k = len(members)
                 if k > 1:
+                    get = itemgetter(*members)
                     pre = [full] * (k + 1)
                     suf = [full] * (k + 1)
                     for i in range(k):
@@ -127,13 +140,17 @@ def pls(g: WeightedGraph, config: PlsConfig | None = None) -> VertexSet:
                         m = pre[i] & suf[i + 1] & ~(1 << u)
                         if not m:
                             continue
-                        w_u = sum(map(rows[u].__getitem__, members))
-                        for v in _bits(m):
-                            gain = sum(map(rows[v].__getitem__, members)) - w_u
+                        w_u = sum(get(rows[u]))
+                        while m:
+                            b = m & -m
+                            m ^= b
+                            v = b.bit_length() - 1
+                            gain = sum(get(rows[v])) - w_u
                             if gain > 0:
                                 swaps[v] = (gain, u)
-                if swaps:
-                    v = pick(sorted(swaps), mode)
+                                smask |= b
+                if smask:
+                    v = pick(smask, mode)
                     gain, u = swaps[v]
                     i = members.index(u)
                     members[i] = v
@@ -153,7 +170,7 @@ def pls(g: WeightedGraph, config: PlsConfig | None = None) -> VertexSet:
                             penalties[x] -= 1
                             if not penalties[x]:
                                 penalized ^= 1 << x
-                    v0 = rng.randrange(n)
+                    v0 = randrange(n)
                     members = [v0]
                     cmask = 1 << v0
                     cweight = 0

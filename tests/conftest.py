@@ -1,4 +1,6 @@
 import os
+import warnings
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
@@ -6,6 +8,14 @@ import pytest
 from mewclique import (ColoringWorkspace, PlsConfig, VertexSet,
                        WeightedGraph, apply_dimacs_weights, is_clique,
                        parse_dimacs, pls, set_weight, solve)
+
+# Hypothesis reports a failing example through hypothesis.extra._patching,
+# whose libcst import raises a DeprecationWarning; filterwarnings = error
+# would turn that into an INTERNALERROR that ends the session. Imported
+# once here with warnings off; without libcst (or hypothesis) a no-op.
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.simplefilter("ignore")
+    import hypothesis.extra._patching  # noqa: F401
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = Path(__file__).parent / "data"

@@ -23,9 +23,10 @@ def _reference_pls(g, config=None, counts=None):
     """The phased local search as first written: an O(n) swap scan over
     every vertex, generator sums and bit walks of the clique mask. Slow
     on purpose; pls must follow the same trajectory step for step.
-    A `counts` dict, if given, gets the run's "restarts" and its
+    A `counts` dict, if given, gets the run's "restarts", its
     "lone_picks": degree picks among whose candidates one has no
-    neighbor among the others."""
+    neighbor among the others, and its "all_penalized": penalty picks
+    whose candidates all have a positive penalty."""
     cfg = config or PlsConfig()
     cfg.validate()
     n = g.n
@@ -38,6 +39,7 @@ def _reference_pls(g, config=None, counts=None):
     penalties = [0] * n
     restarts = 0
     lone_picks = [0]
+    all_penalized = [0]
 
     cmask = 1 << rng.randrange(n)
     cweight = 0
@@ -48,6 +50,7 @@ def _reference_pls(g, config=None, counts=None):
         if mode == "random":
             return cands[rng.randrange(len(cands))]
         if mode == "penalty":
+            all_penalized[0] += all(penalties[v] > 0 for v in cands)
             return min(cands, key=lambda v: (penalties[v], v))
         best_v, best_s = cands[0], -1
         pool = sum(1 << u for u in cands)
@@ -107,7 +110,8 @@ def _reference_pls(g, config=None, counts=None):
                     cand = adj[v0]
 
     if counts is not None:
-        counts.update(restarts=restarts, lone_picks=lone_picks[0])
+        counts.update(restarts=restarts, lone_picks=lone_picks[0],
+                      all_penalized=all_penalized[0])
     out = VertexSet.from_mask(best_mask)
     assert is_clique(g, out) and set_weight(g, out) == best_w
     return out
@@ -137,37 +141,65 @@ def _random_graphs():
                          1, 10, seed=seed)
 
 
-def _assert_same_trajectory(g, cfg):
-    assert pls(g, cfg).mask == _reference_pls(g, cfg).mask
+def _logged_run(monkeypatch, run, *args):
+    """run(*args)'s clique mask and the log of its randrange calls, each
+    (arguments, result). pls and _reference_pls look random.Random up
+    at call time, so a logging subclass patched in there sees them all."""
+    log = []
+
+    class Logged(random.Random):
+        def randrange(self, *a):
+            r = super().randrange(*a)
+            log.append((a, r))
+            return r
+
+    with monkeypatch.context() as m:
+        m.setattr(random, "Random", Logged)
+        return run(*args).mask, log
 
 
-def test_matches_reference_on_random_graphs():
+def _assert_same_trajectory(monkeypatch, g, cfg, counts=None):
+    # the same clique from the same draws, argument for argument; an
+    # empty log would mean the patch never reached pls's generator
+    mask, log = _logged_run(monkeypatch, pls, g, cfg)
+    assert log and (mask, log) == _logged_run(monkeypatch, _reference_pls,
+                                              g, cfg, counts)
+
+
+def test_matches_reference_on_random_graphs(monkeypatch):
+    counts, all_penalized = {}, 0
     for i, g in enumerate(_random_graphs()):
         for h in (g, with_zero_weights(g)):
-            _assert_same_trajectory(h, PlsConfig(iterations=3, seed=i))
+            _assert_same_trajectory(monkeypatch, h,
+                                    PlsConfig(iterations=3, seed=i), counts)
+            all_penalized += counts["all_penalized"]
             for seed in range(3):
-                _assert_same_trajectory(h, PlsConfig(iterations=1, seed=seed))
+                _assert_same_trajectory(monkeypatch, h,
+                                        PlsConfig(iterations=1, seed=seed))
+    # the penalty pick's fallback, every candidate penalized, is exercised
+    assert all_penalized >= 1
 
 
-def test_matches_reference_on_sparse_graphs():
+def test_matches_reference_on_sparse_graphs(monkeypatch):
     # n = 400 at density 0.01 is stored as neighbor-keyed weight rows, so
     # every swap gain here reads non-edges as missing keys; enough
-    # restarts that penalties decay while some are positive, and degree
-    # picks that skip the sum of a candidate with no neighbor among them
+    # restarts that penalties decay while some are positive, degree
+    # picks that skip the sum of a candidate with no neighbor among them,
+    # and penalty picks whose candidates are all penalized
     for seed in range(3):
         g = gen_random(400, 0.01, 1, 10, seed=seed)
-        cfg = PlsConfig(seed=seed)
         counts = {}
-        assert pls(g, cfg).mask == _reference_pls(g, cfg, counts).mask
+        _assert_same_trajectory(monkeypatch, g, PlsConfig(seed=seed), counts)
         assert counts["restarts"] >= 20 and counts["lone_picks"] >= 1, counts
+        assert counts["all_penalized"] >= 1, counts
 
 
 @pytest.mark.parametrize("name", ["MANN_a9", "johnson8-4-4"])
-def test_matches_reference_on_dimacs(data_dir, name):
+def test_matches_reference_on_dimacs(monkeypatch, data_dir, name):
     g = apply_dimacs_weights(
         parse_dimacs((data_dir / f"{name}.clq").read_text()))
     for seed in range(3):
-        _assert_same_trajectory(g, PlsConfig(seed=seed))
+        _assert_same_trajectory(monkeypatch, g, PlsConfig(seed=seed))
 
 
 def test_empty_graph():
