@@ -30,7 +30,10 @@ v. The scores are returned per call, so the solver can tighten that
 bound for a branch vertex p: adding p's edge to each term and taking
 the maxima only over p's neighbors colored before it gives its
 look-ahead (see :mod:`mewclique.solver`). The plain-Python functions
-here define each bound once; invariants mode checks the fast path.
+here define each bound once; invariants mode checks the fast path,
+:class:`ColoringWorkspace`, which finds a heaviest edge into a class
+as the plain max of the row entries over its members: a row reads 0
+at a non-edge and every weight is >= 0.
 Join weights belong to a search node, not to the graph: every function
 here that reads them takes them as an argument and checks each one.
 """
@@ -146,12 +149,6 @@ class SeqAndBounds:
     score: dict
 
 
-# Above this many members a class is not read member by member: it comes
-# from a sparse graph, so neighbor-keyed rows push each member's few
-# edges once, and list rows pull each leftover's edges into the class.
-_SCAN_MAX_CLASS = 32
-
-
 class ColoringWorkspace:
     """Reusable scratch state for the per-node bound computation.
 
@@ -191,13 +188,13 @@ class ColoringWorkspace:
         adjacent to it, by maximality) absorbs its heaviest edge into
         that class and only the leftovers, nearly sorted, are re-sorted.
 
-        Every ``weight_rows`` row reads 0 at a non-edge (a list cell or
-        a missing neighbor key) and all weights are >= 0: the heaviest
-        edge into a class of up to _SCAN_MAX_CLASS members is then the
-        plain max of ``rows[v][u]`` over them, with no adjacency test.
-        A bigger class pushes each member's ``rows[u].items()`` instead.
+        Rows read 0 at a non-edge and weights are >= 0, so leftover v's
+        heaviest edge into the class is the plain max of ``rows[v][u]``
+        over the members u. A single member's row is read as a column.
+        Members whose neighbor-keyed rows hold fewer entries than that
+        max would read (leftovers x members) push their items once
+        instead. Any other class takes the max. All three agree.
         """
-        adj = self.graph.adj_bits
         rows = self.graph.weight_rows
         bit = self._bit
         shut = self._shut
@@ -245,19 +242,17 @@ class ColoringWorkspace:
             if len(picked) == 1:
                 col = rows[picked[0]]
                 keys = [k + (col[k & low] << sh) for k in left]
-            elif len(picked) <= _SCAN_MAX_CLASS:
-                heaviest = itemgetter(*picked)
-                keys = [k + (max(heaviest(rows[k & low])) << sh) for k in left]
-            elif isinstance(rows[picked[0]], dict):  # push: each edge read once
-                top = {}
+            elif left and isinstance(rows[picked[0]], dict) and sum(
+                    map(len, itemgetter(*picked)(rows))) < len(left) * len(picked):
+                top = {}  # push: each member edge read once
                 for u in picked:
                     for v, w in rows[u].items():
                         if w > top.get(v, 0):
                             top[v] = w
                 keys = [k + (top.get(k & low, 0) << sh) for k in left]
             else:
-                keys = [k + (_heaviest_edge(rows[k & low], adj[k & low] & cls) << sh)
-                        for k in left]
+                heaviest = itemgetter(*picked)
+                keys = [k + (max(heaviest(rows[k & low])) << sh) for k in left]
             keys.sort(reverse=heavy)
         order.reverse()
         bounds.reverse()

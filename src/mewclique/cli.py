@@ -247,8 +247,6 @@ def _add_instance_flags(p):
 def _add_solver_flags(p):
     p.add_argument("--pls-iters", type=int, default=10,
                    help="warm-start iterations (default 10, 0 for none)")
-    p.add_argument("--no-pls", action="store_const", const=0, dest="pls_iters",
-                   help="same as --pls-iters 0; the later of the two wins")
     p.add_argument("--seed", type=int, default=0, help="warm-start seed")
     p.add_argument("--time-limit", type=float, default=None,
                    help="seconds before giving up on optimality")
@@ -307,7 +305,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -118,6 +118,8 @@ class WeightedGraph:
     __slots__ = ("n", "m", "adj_bits", "weight_rows")
 
     def __init__(self, n: int, edges=()):
+        if type(n) is not int:  # bools too
+            raise ValueError(f"non-int vertex count {n!r}")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         adj = [0] * n

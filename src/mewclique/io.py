@@ -170,8 +170,6 @@ def gen_random(n, density, w_min=1, w_max=10, seed=0) -> WeightedGraph:
         raise ValueError(f"density must be in [0, 1], got {density}")
     if not 1 <= w_min <= w_max:
         raise ValueError(f"need 1 <= w_min <= w_max, got [{w_min}, {w_max}]")
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
     rng = random.Random(seed)
     edges = []
     for u in range(n):

@@ -5,7 +5,7 @@ import pytest
 from mewclique import (ColoringWorkspace, VertexSet, WeightedGraph,
                        brute_force_mewc, coloring_scores, gen_random,
                        seq_and_bounds, vertex_weighted_upper_bound)
-from mewclique.bounds import _SCAN_MAX_CLASS, look_ahead_bounds
+from mewclique.bounds import look_ahead_bounds
 
 from conftest import SIX_VERTEX_WEIGHTS, induced_weighted, with_zero_weights
 
@@ -214,14 +214,28 @@ class TestPlanProperties:
             assert score == coloring_scores(g, classes, join)
 
     def test_big_classes_in_both_row_forms(self):
-        # the subproblems must keep a class above _SCAN_MAX_CLASS with
-        # neighbor-keyed rows (pushed) and with list rows (pulled)
-        forms = set()
+        # after a class with leftovers closes, neighbor-keyed rows push
+        # its edges when its members hold fewer entries than the plain
+        # max would read (leftovers x members), and any other class
+        # takes the max: dict rows must take both rules here, and list
+        # rows must take the max over a class of over 32 members
+        rules = set()
         for g, s_mask, join in self._random_subproblems(10, 14, seed=4):
             plan = seq_and_bounds(g, VertexSet.from_mask(s_mask), join)
-            if max(map(len, plan.classes)) > _SCAN_MAX_CLASS:
-                forms.add("dict" if isinstance(g.weight_rows[0], dict) else "list")
-        assert forms == {"dict", "list"}
+            assert plan.score == coloring_scores(g, plan.classes, join)
+            rows = g.weight_rows
+            left = s_mask
+            for cls in plan.classes:
+                left ^= cls.mask
+                if len(cls) == 1 or not left:
+                    continue
+                if isinstance(rows[0], dict):
+                    stored = sum(len(rows[u]) for u in cls)
+                    pushed = stored < left.bit_count() * len(cls)
+                    rules.add("dict push" if pushed else "dict max")
+                elif len(cls) > 32:
+                    rules.add("big list max")
+        assert rules == {"dict push", "dict max", "big list max"}
 
     def test_prefix_soundness(self):
         # upper[p_i] must dominate the best clique through p_i that only

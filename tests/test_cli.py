@@ -33,7 +33,7 @@ def triangle_wedge(tmp_path):
 
 class TestSolve:
     def test_json_schema_and_values(self, tiny_wedge, capsys):
-        assert main(["solve", str(tiny_wedge), "--no-pls",
+        assert main(["solve", str(tiny_wedge), "--pls-iters", "0",
                      "--output", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert list(report) == list(REPORT_FIELDS)
@@ -50,7 +50,7 @@ class TestSolve:
             assert isinstance(report[key], float) and report[key] >= 0
 
     def test_csv_schema(self, tiny_wedge, capsys):
-        assert main(["solve", str(tiny_wedge), "--no-pls",
+        assert main(["solve", str(tiny_wedge), "--pls-iters", "0",
                      "--output", "csv"]) == 0
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))
         assert rows[0] == list(REPORT_FIELDS)
@@ -77,42 +77,23 @@ class TestSolve:
         assert report["best_weight"] == 19
 
     def test_pls_iters_zero_is_no_pls(self, tiny_wedge, capsys):
-        reports = []
-        for flags in (["--pls-iters", "0"], ["--no-pls"]):
-            assert main(["solve", str(tiny_wedge), *flags,
-                         "--output", "json"]) == 0
-            reports.append(json.loads(capsys.readouterr().out))
-        zero, no_pls = reports
-        assert zero["lb"] == no_pls["lb"] == 0
-        assert zero["pls_time"] == no_pls["pls_time"] == 0.0
-        for key in ("best_weight", "clique", "iterations"):
-            assert zero[key] == no_pls[key]
+        assert main(["solve", str(tiny_wedge), "--pls-iters", "0",
+                     "--output", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["lb"] == 0
+        assert report["pls_time"] == 0.0
+        with pytest.raises(SystemExit) as exc:  # one spelling: no alias
+            main(["solve", str(tiny_wedge), "--no-pls"])
+        assert exc.value.code == 2
 
     def test_negative_pls_iters(self, tiny_wedge, capsys):
         assert main(["solve", str(tiny_wedge), "--pls-iters", "-1"]) == 1
         assert "iterations" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags, warm", [
-        (["--no-pls", "--pls-iters", "2"], True),
-        (["--pls-iters", "2", "--no-pls"], False),
-    ], ids=["pls-iters-last", "no-pls-last"])
-    def test_last_warm_start_flag_wins(self, tiny_wedge, monkeypatch, flags,
-                                       warm, capsys):
-        calls = []
-        real_pls = cli.pls
-
-        def counting_pls(g, cfg):
-            calls.append(cfg.iterations)
-            return real_pls(g, cfg)
-
-        monkeypatch.setattr(cli, "pls", counting_pls)
-        assert main(["solve", str(tiny_wedge), *flags]) == 0
-        assert calls == ([2] if warm else [])
-
     def test_dimacs_auto_weight(self, data_dir, capsys):
         path = data_dir / "johnson8-2-4.clq"
         assert main(["solve", str(path), "--dimacs-auto-weight",
-                     "--no-pls", "--output", "json"]) == 0
+                     "--pls-iters", "0", "--output", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["best_weight"] == 192
         assert report["proven_optimal"] is True
@@ -145,8 +126,9 @@ class TestSolve:
 
     def test_node_limit_exit_code(self, data_dir, capsys):
         path = data_dir / "brock200_2.clq"
-        assert main(["solve", str(path), "--dimacs-auto-weight", "--no-pls",
-                     "--node-limit", "5", "--output", "json"]) == 2
+        assert main(["solve", str(path), "--dimacs-auto-weight",
+                     "--pls-iters", "0", "--node-limit", "5",
+                     "--output", "json"]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["proven_optimal"] is False
 
@@ -155,8 +137,8 @@ class TestSolve:
         monkeypatch.setattr(solver, "ColoringWorkspace",
                             interrupting_workspace(50))
         path = data_dir / "brock200_2.clq"
-        assert main(["solve", str(path), "--dimacs-auto-weight", "--no-pls",
-                     "--output", "json"]) == 2
+        assert main(["solve", str(path), "--dimacs-auto-weight",
+                     "--pls-iters", "0", "--output", "json"]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["proven_optimal"] is False and report["best_weight"] > 0
 
@@ -203,7 +185,8 @@ class TestSolve:
             assert main(["solve", str(path), flag]) == 1
             assert ("error: weighting flags only apply to DIMACS instances"
                     in capsys.readouterr().err)
-        assert main(["solve", str(path), "--no-pls"]) == 0  # needs no flag
+        assert main(["solve", str(path),
+                     "--pls-iters", "0"]) == 0  # needs no flag
         assert "best_weight: 19" in capsys.readouterr().out
 
     @pytest.mark.parametrize("name, text, flags, weight", [
@@ -316,7 +299,8 @@ class TestBench:
             "# tiny instances\n"
             + "\n".join(p.name for p in reversed(paths)) + "\n")
         capsys.readouterr()  # drop the gen chatter
-        assert main(["bench", "--manifest", str(manifest), "--no-pls"]) == 0
+        assert main(["bench", "--manifest", str(manifest),
+                     "--pls-iters", "0"]) == 0
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))
         assert rows[0] == list(BENCH_FIELDS)
         names = [r[0] for r in rows[1:]]
@@ -331,7 +315,8 @@ class TestBench:
         manifest = tmp_path / "list.txt"
         manifest.write_bytes(data)
         capsys.readouterr()  # drop the gen chatter
-        assert main(["bench", "--manifest", str(manifest), "--no-pls"]) == code
+        assert main(["bench", "--manifest", str(manifest),
+                     "--pls-iters", "0"]) == code
         # split at "\n" only: an error row's name may hold U+0085
         rows = list(csv.DictReader(capsys.readouterr().out.split("\n")))
         assert len(rows) == 2
@@ -345,7 +330,8 @@ class TestBench:
         manifest = tmp_path / "list.txt"
         manifest.write_bytes(b"inst0.wedge\ninst0.wedge\xc2\x85\n")
         capsys.readouterr()  # drop the gen chatter
-        assert main(["bench", "--manifest", str(manifest), "--no-pls"]) == 1
+        assert main(["bench", "--manifest", str(manifest),
+                     "--pls-iters", "0"]) == 1
         rows = list(csv.DictReader(capsys.readouterr().out.split("\n")))
         assert [r["instance"] for r in rows] == \
             ["inst0", "inst0.wedge\x85", "TOTAL"]
@@ -358,7 +344,8 @@ class TestBench:
         manifest = tmp_path / "list.txt"
         manifest.write_bytes("donn\u00e9es/inst0.wedge\n".encode())
         capsys.readouterr()  # drop the gen chatter
-        assert main(["bench", "--manifest", str(manifest), "--no-pls"]) == 0
+        assert main(["bench", "--manifest", str(manifest),
+                     "--pls-iters", "0"]) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert [r["instance"] for r in rows] == ["inst0", "TOTAL"]
 
@@ -370,8 +357,9 @@ class TestBench:
     def test_jobs_do_not_change_results(self, tmp_path):
         paths = [str(p) for p in self._make_instances(tmp_path)]
         out1, out4 = tmp_path / "r1.csv", tmp_path / "r4.csv"
-        assert main(["bench", *paths, "--no-pls", "--out", str(out1)]) == 0
-        assert main(["bench", *paths, "--no-pls", "--jobs", "4",
+        assert main(["bench", *paths,
+                     "--pls-iters", "0", "--out", str(out1)]) == 0
+        assert main(["bench", *paths, "--pls-iters", "0", "--jobs", "4",
                      "--out", str(out4)]) == 0
 
         def stable(path):
@@ -405,7 +393,8 @@ class TestBench:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
         paths = self._make_instances(tmp_path, count=1)
         capsys.readouterr()  # drop the gen chatter
-        assert main(["bench", str(paths[0]), "--no-pls", "--jobs", "64"]) == 0
+        assert main(["bench", str(paths[0]),
+                     "--pls-iters", "0", "--jobs", "64"]) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert [r["instance"] for r in rows] == ["inst0", "TOTAL"]
         assert asked == [1]
@@ -415,7 +404,8 @@ class TestBench:
         # exit 1 is a usage error; argparse's 2 would read as "limit hit"
         paths = self._make_instances(tmp_path, count=1)
         capsys.readouterr()  # drop the gen chatter
-        assert main(["bench", str(paths[0]), "--no-pls", "--jobs", jobs]) == 1
+        assert main(["bench", str(paths[0]),
+                     "--pls-iters", "0", "--jobs", jobs]) == 1
         out, err = capsys.readouterr()
         assert out == "" and "--jobs" in err
 
@@ -424,7 +414,7 @@ class TestBench:
         missing = tmp_path / "gone.wedge"
         capsys.readouterr()  # drop the gen chatter
         assert main(["bench", str(paths[0]), str(missing), str(paths[1]),
-                     "--no-pls"]) == 1
+                     "--pls-iters", "0"]) == 1
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert [r["instance"] for r in rows] == \
             ["inst0", "gone.wedge", "inst1", "TOTAL"]
@@ -446,7 +436,7 @@ class TestBench:
         monkeypatch.setattr(cli, "_run_solve", die_on_inst1)  # forked workers inherit it
         for jobs in ("1", "2"):
             capsys.readouterr()  # drop the gen chatter
-            assert main(["bench", *map(str, paths), "--no-pls",
+            assert main(["bench", *map(str, paths), "--pls-iters", "0",
                          "--jobs", jobs]) == 1
             rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
             # inst0's row is an error row too when the pool broke first
@@ -458,7 +448,7 @@ class TestBench:
     def test_limit_exit_code(self, data_dir, tmp_path):
         out = tmp_path / "r.csv"
         assert main(["bench", str(data_dir / "brock200_2.clq"),
-                     "--dimacs-auto-weight", "--no-pls",
+                     "--dimacs-auto-weight", "--pls-iters", "0",
                      "--node-limit", "5", "--out", str(out)]) == 2
 
     def test_published_optima_table(self, data_dir, tmp_path):
@@ -468,15 +458,15 @@ class TestBench:
                     "hamming6-2": "32736", "c-fat200-1": "7734"}
         out = tmp_path / "table.csv"
         paths = [str(data_dir / f"{name}.clq") for name in expected]
-        assert main(["bench", *paths, "--dimacs-auto-weight", "--no-pls",
-                     "--out", str(out)]) == 0
+        assert main(["bench", *paths, "--dimacs-auto-weight",
+                     "--pls-iters", "0", "--out", str(out)]) == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
         got = {r["instance"]: r["best_weight"] for r in rows[:-1]}
         assert got == expected
         assert rows[-1]["instance"] == "TOTAL"
 
     def test_no_instances(self, capsys):
-        assert main(["bench", "--no-pls"]) == 1
+        assert main(["bench", "--pls-iters", "0"]) == 1
         assert "no instances" in capsys.readouterr().err
 
 

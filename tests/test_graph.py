@@ -46,6 +46,13 @@ class TestConstruction:
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             WeightedGraph(-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            gen_random(-1, 0.5)
+        for n in (True, False, 2.0, "3"):
+            with pytest.raises(ValueError, match="non-int vertex count"):
+                WeightedGraph(n)
+        with pytest.raises(ValueError, match="non-int vertex count True"):
+            gen_random(True, 0.5)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
