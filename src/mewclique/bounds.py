@@ -38,7 +38,6 @@ Join weights belong to a search node, not to the graph: every function
 here that reads them takes them as an argument and checks each one.
 """
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .graph import VertexSet, WeightedGraph, checked_join_weight
@@ -129,7 +128,6 @@ def look_ahead_bounds(g: WeightedGraph, coloring, scores, p: int, child):
     return plain, founders
 
 
-@dataclass
 class SeqAndBounds:
     """Branch plan for one candidate set.
 
@@ -143,10 +141,11 @@ class SeqAndBounds:
     score: final accumulated per-vertex scores.
     """
 
-    order: list
-    upper: dict
-    classes: list
-    score: dict
+    def __init__(self, order: list, upper: dict, classes: list, score: dict):
+        self.order = order
+        self.upper = upper
+        self.classes = classes
+        self.score = score
 
 
 class ColoringWorkspace:

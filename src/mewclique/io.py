@@ -16,9 +16,11 @@ A file's ``p`` line names its format, whatever the file is called:
 
 Lines end only at ``"\n"``, and only ``c`` comment lines may hold non-ASCII
 or control characters (a tab, or a ``"\r"`` that ends the line, is a blank);
-lines are tested one by one only when a test of the whole text fails. Edges
-stream into ``WeightedGraph``, which makes every range, self-loop, weight
-and duplicate check. ``read_instance`` decodes Latin-1, which maps every
+lines are tested one by one only when one test of the text from its first
+content line on fails, so a comment header before the ``p`` line (a file
+name with ``_`` in it, say) costs no per-line tests. Edges stream into
+``WeightedGraph``, which makes every range, self-loop, weight and
+duplicate check. ``read_instance`` decodes Latin-1, which maps every
 byte, with universal newlines. The declared vertex count is authoritative,
 the edge count unchecked (files in the wild disagree).
 
@@ -56,13 +58,19 @@ def _printable(s):
 
 
 def _content_lines(text, clean):
-    # not splitlines(), which also breaks at "\x0c", "\x85" and "\u2028"
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+    # clean None: test the text from the first content line on, False: each
+    # line. Not splitlines(), which also breaks at "\x0c", "\x85", "\u2028"
+    lines = text.split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if tokens and tokens[0] != "c":
-            if not (clean or _printable(raw)):
-                raise ParseError("'_', '+', a control or a non-ASCII character "
-                                 "outside a comment", line_no)
+            if not clean:
+                if clean is None:  # the first content line: test from here on
+                    clean = _printable(
+                        text[sum(map(len, lines[:line_no - 1])) + line_no - 1:])
+                if not (clean or _printable(raw)):
+                    raise ParseError("'_', '+', a control or a non-ASCII "
+                                     "character outside a comment", line_no)
             yield line_no, tokens
 
 
@@ -109,7 +117,7 @@ def _edges(lines, n, weighted):
 
 def _parse(text, tag) -> WeightedGraph:
     """Parse instance text whose ``p`` line must carry ``tag``."""
-    lines = _content_lines(text, _printable(text))
+    lines = _content_lines(text, None)
     line_no, tokens = next(lines, (None, None))
     if tokens is None or tokens[0] != "p":
         raise ParseError("missing problem line" if tokens is None else
@@ -170,6 +178,8 @@ def gen_random(n, density, w_min=1, w_max=10, seed=0) -> WeightedGraph:
         raise ValueError(f"density must be in [0, 1], got {density}")
     if not 1 <= w_min <= w_max:
         raise ValueError(f"need 1 <= w_min <= w_max, got [{w_min}, {w_max}]")
+    if type(n) is not int:  # as WeightedGraph would, before range(n) does
+        raise ValueError(f"non-int vertex count {n!r}")
     rng = random.Random(seed)
     edges = []
     for u in range(n):

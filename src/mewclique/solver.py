@@ -54,13 +54,11 @@ instance and configuration always give one node count.
 import copy
 import sys
 import time
-from dataclasses import dataclass
 
 from .bounds import ColoringWorkspace, coloring_scores, look_ahead_bounds
 from .graph import VertexSet, WeightedGraph, is_clique, set_weight
 
 
-@dataclass
 class SolverConfig:
     """Knobs for one solve run.
 
@@ -72,9 +70,12 @@ class SolverConfig:
     asserts would let it check nothing.
     """
 
-    time_limit: float | None = None
-    node_limit: int | None = None
-    assertion_level: str = "off"  # "off" | "invariants"
+    def __init__(self, time_limit: float | None = None,
+                 node_limit: int | None = None,
+                 assertion_level: str = "off"):  # "off" | "invariants"
+        self.time_limit = time_limit
+        self.node_limit = node_limit
+        self.assertion_level = assertion_level
 
     def validate(self):
         limit = self.time_limit
@@ -96,7 +97,6 @@ class SolverConfig:
                              "statements, which python -O strips")
 
 
-@dataclass
 class SolveResult:
     """Outcome of one solve run.
 
@@ -105,12 +105,15 @@ class SolveResult:
     stopped the search; the incumbent is still the best clique seen.
     """
 
-    best_clique: VertexSet
-    best_weight: int
-    proven_optimal: bool
-    iterations: int
-    elapsed: float
-    initial_weight: int
+    def __init__(self, best_clique: VertexSet, best_weight: int,
+                 proven_optimal: bool, iterations: int, elapsed: float,
+                 initial_weight: int):
+        self.best_clique = best_clique
+        self.best_weight = best_weight
+        self.proven_optimal = proven_optimal
+        self.iterations = iterations
+        self.elapsed = elapsed
+        self.initial_weight = initial_weight
 
 
 def solve(g: WeightedGraph, c_initial: VertexSet | None = None,

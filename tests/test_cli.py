@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mewclique import solve, write_weighted_edge_list
+from mewclique import SolveResult, solve, write_weighted_edge_list
 from mewclique import cli, solver
 from mewclique.cli import BENCH_FIELDS, REPORT_FIELDS, main
 
@@ -483,8 +482,9 @@ class TestOracleCmd:
 
     def test_check_mismatch(self, triangle_wedge, monkeypatch, capsys):
         def lighter(g):  # the edge (1, 2) of weight 1 in place of 6
-            return dataclasses.replace(solve(g), best_clique=VertexSet([0, 1]),
-                                       best_weight=1)
+            res = solve(g)
+            return SolveResult(VertexSet([0, 1]), 1, res.proven_optimal,
+                               res.iterations, res.elapsed, res.initial_weight)
 
         monkeypatch.setattr(cli, "solve", lighter)
         assert main(["oracle", str(triangle_wedge), "--check"]) == 1

@@ -51,6 +51,8 @@ class TestConstruction:
         for n in (True, False, 2.0, "3"):
             with pytest.raises(ValueError, match="non-int vertex count"):
                 WeightedGraph(n)
+            with pytest.raises(ValueError, match="non-int vertex count"):
+                gen_random(n, 0.5)  # checked before range(n) reads it
         with pytest.raises(ValueError, match="non-int vertex count True"):
             gen_random(True, 0.5)
 

@@ -228,23 +228,50 @@ class TestWeightedEdgeList:
             assert f"line {line}" in str(exc.value)
 
 
-def test_whole_text_test_spares_the_line_checks(monkeypatch):
-    checked = []
+@pytest.fixture
+def checked(monkeypatch):
+    """Every text and line that io._printable tests, in order."""
+    texts = []
+    printable = mio._printable
 
     def recording(s):
-        checked.append(s)
+        texts.append(s)
         return printable(s)
 
-    printable = mio._printable
     monkeypatch.setattr(mio, "_printable", recording)
+    return texts
+
+
+def test_whole_text_test_spares_the_line_checks(checked):
     text = write_weighted_edge_list(gen_random(3000, 0.005, 1, 200, seed=1))
     g = parse_weighted_edge_list(text)
     assert checked == [text]  # the whole text once, and no line
     checked.clear()
-    # a non-ASCII comment fails the whole-text test: then each content
-    # line is checked, once
-    assert parse_weighted_edge_list("c caf\xe9\n" + text) == g
+    # a non-ASCII comment after the first content line fails the
+    # whole-text test: then each content line is checked, once
+    header, rest = text.split("\n", 1)
+    assert parse_weighted_edge_list(f"{header}\nc caf\xe9\n{rest}") == g
     assert checked[1:] == text.split("\n")[:-1]
+
+
+@pytest.mark.parametrize("comment", ["c file_name.wedge", "c caf\xe9 \x0b"])
+def test_leading_comments_stay_out_of_the_whole_text_test(checked, comment):
+    # the test starts at the first content line, so a text whose only
+    # '_' or control character sits in the comments before it is tested
+    # once, and none of its lines on their own
+    text = write_weighted_edge_list(gen_random(40, 0.3, 1, 200, seed=2))
+    g = parse_weighted_edge_list(f"{comment}\n\n c x\n{text}")
+    assert checked == [text]
+    assert g == parse_weighted_edge_list(text)
+
+
+@pytest.mark.parametrize("name", ["MANN_a9", "brock200_2", "p_hat300-1"])
+def test_bundled_file_names_stay_off_the_per_line_path(checked, data_dir,
+                                                       name):
+    # each holds '_' only in its comment header: its own file name
+    text = (data_dir / f"{name}.clq").read_text()
+    assert "_" in text and parse_dimacs(text).n > 0
+    assert len(checked) == 1 and "_" not in checked[0]
 
 
 class TestGenRandom:

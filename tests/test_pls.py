@@ -25,8 +25,10 @@ def _reference_pls(g, config=None, counts=None):
     on purpose; pls must follow the same trajectory step for step.
     A `counts` dict, if given, gets the run's "restarts", its
     "lone_picks": degree picks among whose candidates one has no
-    neighbor among the others, and its "all_penalized": penalty picks
-    whose candidates all have a positive penalty."""
+    neighbor among the others, its "all_penalized": penalty picks whose
+    candidates all have a positive penalty, and its "rescanned_stuck" and
+    "rescanned_swaps": swap scans of a maximal clique already scanned in
+    the same run, which find no swap or some."""
     cfg = config or PlsConfig()
     cfg.validate()
     n = g.n
@@ -40,6 +42,8 @@ def _reference_pls(g, config=None, counts=None):
     restarts = 0
     lone_picks = [0]
     all_penalized = [0]
+    scanned = set()
+    rescanned = [0, 0]  # stuck, swapping
 
     cmask = 1 << rng.randrange(n)
     cweight = 0
@@ -88,6 +92,8 @@ def _reference_pls(g, config=None, counts=None):
                     gain = sum(row_v[x] - row_u[x] for x in cm if x != u)
                     if gain > 0:
                         swaps[v] = (gain, u)
+                rescanned[bool(swaps)] += cmask in scanned
+                scanned.add(cmask)
                 if swaps:
                     v = pick(sorted(swaps), mode)
                     gain, u = swaps[v]
@@ -111,7 +117,9 @@ def _reference_pls(g, config=None, counts=None):
 
     if counts is not None:
         counts.update(restarts=restarts, lone_picks=lone_picks[0],
-                      all_penalized=all_penalized[0])
+                      all_penalized=all_penalized[0],
+                      rescanned_stuck=rescanned[0],
+                      rescanned_swaps=rescanned[1])
     out = VertexSet.from_mask(best_mask)
     assert is_clique(g, out) and set_weight(g, out) == best_w
     return out
@@ -167,17 +175,21 @@ def _assert_same_trajectory(monkeypatch, g, cfg, counts=None):
 
 
 def test_matches_reference_on_random_graphs(monkeypatch):
-    counts, all_penalized = {}, 0
+    counts, totals = {}, dict.fromkeys(
+        ("all_penalized", "rescanned_stuck", "rescanned_swaps"), 0)
     for i, g in enumerate(_random_graphs()):
         for h in (g, with_zero_weights(g)):
             _assert_same_trajectory(monkeypatch, h,
                                     PlsConfig(iterations=3, seed=i), counts)
-            all_penalized += counts["all_penalized"]
+            for key in totals:
+                totals[key] += counts[key]
             for seed in range(3):
                 _assert_same_trajectory(monkeypatch, h,
                                         PlsConfig(iterations=1, seed=seed))
-    # the penalty pick's fallback, every candidate penalized, is exercised
-    assert all_penalized >= 1
+    # the penalty pick's fallback, every candidate penalized, is
+    # exercised, and pls's table of scanned cliques is read both when it
+    # sends the clique to a restart and when it hands the pick its swaps
+    assert all(totals.values()), totals
 
 
 def test_matches_reference_on_sparse_graphs(monkeypatch):
@@ -185,13 +197,15 @@ def test_matches_reference_on_sparse_graphs(monkeypatch):
     # every swap gain here reads non-edges as missing keys; enough
     # restarts that penalties decay while some are positive, degree
     # picks that skip the sum of a candidate with no neighbor among them,
-    # and penalty picks whose candidates are all penalized
+    # penalty picks whose candidates are all penalized, and cliques met
+    # again, stuck and swapping, whose scan pls reads from its table
     for seed in range(3):
         g = gen_random(400, 0.01, 1, 10, seed=seed)
         counts = {}
         _assert_same_trajectory(monkeypatch, g, PlsConfig(seed=seed), counts)
         assert counts["restarts"] >= 20 and counts["lone_picks"] >= 1, counts
         assert counts["all_penalized"] >= 1, counts
+        assert counts["rescanned_stuck"] and counts["rescanned_swaps"], counts
 
 
 @pytest.mark.parametrize("name", ["MANN_a9", "johnson8-4-4"])
