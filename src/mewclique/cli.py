@@ -18,8 +18,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import io as instance_io
@@ -171,6 +169,8 @@ def _bench_pool(tasks, jobs):
     """Bench rows, in task order, from min(jobs, len(tasks)) worker
     processes: a fork-started pool starts them all at once. A dead worker
     (killed, out of memory) breaks the pool; tasks left get error rows."""
+    # imported here: multiprocessing would cost every other command
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     futures = []
     try:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:

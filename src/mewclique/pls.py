@@ -17,19 +17,22 @@ candidate is penalized does it compare counters.
 
 The swap scan works from the clique's own members, not from all n
 vertices. Once the clique C is maximal, the vertices that miss exactly
-member u are the common neighbours of C minus u (u itself aside), and
-prefix and suffix ANDs of the members' neighbour masks give those sets
-for every u at once. A step therefore costs O(|C|) big-int ANDs plus
-the swap candidates, rather than O(n). A swap's gain is then
-sum_C w(v, .) - sum_C w(u, .), each sum over one `itemgetter` of the
-members; this is exact because non-edges weigh 0 (w(v, u) = 0) and
-the diagonal is 0 (w(u, u) = 0). A scan's result depends on the clique
-alone, so one call of `pls` keeps a dict from each maximal clique's mask
-to its scan, (swap mask, {v: (gain, u)}), reads a clique met again from
-it (most are: 98% of the scans on 300 small random graphs), and drops it
-on return. It holds at most one entry per step, each about two n-bit
-masks plus the swaps. After a swap the candidates are the AND of the
-new members' neighbour masks, so no entry depends on member order.
+member u are the common neighbours of C minus u (u itself aside), and a
+swap's gain is sum_C w(v, .) - sum_C w(u, .), exact because non-edges
+and the diagonal weigh 0. On list rows, prefix and suffix ANDs of the
+members' neighbour masks give those sets for every u at once (O(|C|)
+big-int ANDs), and each gain is two sums over one `itemgetter`. A sparse
+graph's dict rows hold exactly its edges (zero-weight ones too), so
+there each member's row is read once instead: a vertex meeting |C| - 1
+members misses u = sum(C) - their index sum, and its weight to them is
+the gain's first term. Both routes give the same scan. A scan's result
+depends on the clique alone, so one call of `pls` keeps a dict from each
+maximal clique's mask to its scan, (swap mask, {v: (gain, u)}), reads a
+clique met again from it (most are: 98% of the scans on 300 small
+random graphs), and drops it on return. It holds at most one entry per
+step, each about two n-bit masks plus the swaps. After a swap the
+candidates are the AND of the new members' neighbour masks, so no entry
+depends on member order.
 
 The best clique seen anywhere is returned; it is always feasible, and
 for a fixed seed the run is deterministic. Solution quality is
@@ -80,6 +83,28 @@ def _swap_scan(members, adj, rows):
     swaps, smask = {}, 0
     k = len(members)
     if k < 2:
+        return smask, swaps
+    if isinstance(rows[members[0]], dict):
+        # per vertex v: [members it meets, their index sum, their weight
+        # to v]. A v meeting k - 1 misses u = sum(members) - that sum; a
+        # member meets the other k - 1 and comes out as u == v, gain 0
+        meets = {}
+        get = meets.get
+        for x in members:
+            for v, w in rows[x].items():
+                m = get(v)
+                if m is None:
+                    meets[v] = [1, x, w]
+                else:
+                    m[0] += 1
+                    m[1] += x
+                    m[2] += w
+        total = sum(members)
+        for v, (c, s, w) in meets.items():
+            u = total - s
+            if c == k - 1 and w > meets[u][2]:
+                swaps[v] = (w - meets[u][2], u)
+                smask |= 1 << v
         return smask, swaps
     # pre[i] & suf[i + 1] is the common neighbourhood of every member but
     # u = members[i]; the clique being maximal, its vertices other than u

@@ -389,7 +389,8 @@ class TestBench:
                 fut.set_result(fn(*args))
                 return fut
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor",
+                            InlinePool)
         paths = self._make_instances(tmp_path, count=1)
         capsys.readouterr()  # drop the gen chatter
         assert main(["bench", str(paths[0]),

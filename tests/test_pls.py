@@ -5,7 +5,7 @@ import pytest
 from mewclique import (PlsConfig, VertexSet, WeightedGraph,
                        apply_dimacs_weights, gen_random, is_clique,
                        parse_dimacs, pls, set_weight, solve)
-from mewclique.pls import PHASES
+from mewclique.pls import PHASES, _swap_scan
 
 from conftest import with_zero_weights
 
@@ -201,11 +201,47 @@ def test_matches_reference_on_sparse_graphs(monkeypatch):
     # again, stuck and swapping, whose scan pls reads from its table
     for seed in range(3):
         g = gen_random(400, 0.01, 1, 10, seed=seed)
+        assert isinstance(g.weight_rows[0], dict)  # the member-edge scan
         counts = {}
         _assert_same_trajectory(monkeypatch, g, PlsConfig(seed=seed), counts)
         assert counts["restarts"] >= 20 and counts["lone_picks"] >= 1, counts
         assert counts["all_penalized"] >= 1, counts
         assert counts["rescanned_stuck"] and counts["rescanned_swaps"], counts
+
+
+def _maximal_cliques(g, rng):
+    # one per vertex: grown from it by random picks among the common
+    # neighbours until maximal, then shuffled out of pick order
+    adj = g.adj_bits
+    for v in range(g.n):
+        members, cand = [v], adj[v]
+        while cand:
+            x = rng.choice(_bits(cand))
+            members.append(x)
+            cand &= adj[x]
+        rng.shuffle(members)
+        yield members
+
+
+def test_swap_scan_same_from_dict_and_list_rows():
+    # the member-edge scan of neighbour-keyed rows finds the same swaps,
+    # gains and dropped members as the mask scan of the same rows as
+    # lists, zero-weight edges (keys, so still adjacent) included
+    rng = random.Random(0)
+    sizes, swapping = set(), 0
+    for seed, (n, density) in enumerate([(400, 0.01), (600, 0.012),
+                                         (1000, 0.012)], 1):
+        g = gen_random(n, density, 1, 10, seed=seed)
+        for h in (g, with_zero_weights(g)):
+            rows = h.weight_rows
+            assert isinstance(rows[0], dict)
+            lists = [[row[v] for v in range(n)] for row in rows]
+            for members in _maximal_cliques(h, rng):
+                scan = _swap_scan(members, h.adj_bits, rows)
+                assert scan == _swap_scan(members, h.adj_bits, lists), members
+                sizes.add(min(len(members), 3))
+                swapping += bool(scan[0])
+    assert sizes == {1, 2, 3} and swapping, (sizes, swapping)
 
 
 @pytest.mark.parametrize("name", ["MANN_a9", "johnson8-4-4"])
