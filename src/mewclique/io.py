@@ -24,11 +24,12 @@ duplicate check. ``read_instance`` decodes Latin-1, which maps every
 byte, with universal newlines. The declared vertex count is authoritative,
 the edge count unchecked (files in the wild disagree).
 
-``apply_dimacs_weights`` attaches the conventional deterministic
-benchmark weighting to a plain DIMACS graph, and ``gen_random`` draws
-seeded G(n, p) instances with uniform integer edge weights.
+``apply_dimacs_weights`` pairs a parsed DIMACS graph's adjacency with new
+rows of the benchmark weighting, so no edge is checked twice, and
+``gen_random`` draws seeded G(n, p) instances with uniform integer weights.
 """
 
+import copy
 import random
 from pathlib import Path
 
@@ -144,12 +145,20 @@ def apply_dimacs_weights(g: WeightedGraph) -> WeightedGraph:
     """Reweight every edge by the deterministic benchmark rule.
 
     Edge (i, j) in 1-based labels gets weight ((i + j) mod 200) + 1, so
-    all weights land in [1, 200]. Adjacency is unchanged; the result
-    depends only on vertex indices, so reapplication is idempotent.
+    all weights land in [1, 200]. The result shares ``g``'s adjacency and
+    gets only new rows, of ``g``'s row form, so no edge is checked twice.
     """
-    return WeightedGraph(
-        g.n, ((u, v, (u + v + 2) % 200 + 1) for u, v, _ in g.edges())
-    )
+    rule = [(s + 2) % 200 + 1 for s in range(2 * g.n)]  # rule[u + v], 0-based
+    out = copy.copy(g)  # WeightedGraph's name here is replaced when traced
+    out.weight_rows = rows = [type(r)() if isinstance(r, dict) else [0] * g.n
+                              for r in g.weight_rows]
+    for u, (a, row) in enumerate(zip(g.adj_bits, rows)):
+        while a:  # ascending, so a dict row's keys are in neighbor order
+            b = a & -a
+            v = b.bit_length() - 1
+            row[v] = rule[u + v]
+            a ^= b
+    return out
 
 
 def parse_weighted_edge_list(text) -> WeightedGraph:

@@ -11,7 +11,7 @@ from mewclique import (ParseError, VertexSet, WeightedGraph,
                        parse_weighted_edge_list, read_instance,
                        write_weighted_edge_list)
 
-from conftest import SIX_EDGES
+from conftest import SIX_EDGES, with_zero_weights
 
 
 class TestParseDimacs:
@@ -72,17 +72,28 @@ class TestParseDimacs:
         with pytest.raises(ParseError, match="missing problem line"):
             parse_dimacs("c nothing here\n")
 
-    def test_header_only_input_stays_small(self):
+    def test_header_only_input_stays_small(self, data_dir):
         # weight rows scale with n + m: 14 bytes of header must not buy
-        # an n x n matrix (4000 x 4000 list cells are over 120 MiB)
+        # an n x n matrix (4000 x 4000 list cells are over 120 MiB), nor
+        # must weighting them; and weighting a parsed graph takes less
+        # than parsing it did, since only the rows are new
+        def peak_of(fn, arg):  # bytes fn(arg) takes at most over what it found
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            return fn(arg), tracemalloc.get_traced_memory()[1] - before
+
+        text = (data_dir / "p_hat300-1.clq").read_text()
         tracemalloc.start()
         try:
-            g = parse_dimacs("p edge 4000 0\n")
-            peak = tracemalloc.get_traced_memory()[1]
+            g, peak = peak_of(lambda t: apply_dimacs_weights(parse_dimacs(t)),
+                              "p edge 4000 0\n")
+            parsed, parse_peak = peak_of(parse_dimacs, text)
+            _, weight_peak = peak_of(apply_dimacs_weights, parsed)
         finally:
             tracemalloc.stop()
         assert g.n == 4000 and g.m == 0
         assert peak < 4 * 2 ** 20
+        assert weight_peak < parse_peak
 
 
 class TestDimacsWeighting:
@@ -101,6 +112,54 @@ class TestDimacsWeighting:
         assert once == twice
         assert once.adj_bits == g.adj_bits
         assert all(1 <= w <= 200 for _, _, w in once.edges())
+
+    @staticmethod
+    def rebuilt(g):
+        """The weighting as a rebuild of the whole graph: its definition."""
+        return WeightedGraph(
+            g.n, ((u, v, (u + v + 2) % 200 + 1) for u, v, _ in g.edges()))
+
+    def assert_weighted(self, g):
+        rows_before = [(type(r), list(r), r.copy()) for r in g.weight_rows]
+        out, ref = apply_dimacs_weights(g), self.rebuilt(g)
+        assert (out.n, out.m) == (ref.n, ref.m) and out.adj_bits is g.adj_bits
+        assert out.adj_bits == ref.adj_bits and out.weight_rows == ref.weight_rows
+        for row, ref_row in zip(out.weight_rows, ref.weight_rows):
+            assert type(row) is type(ref_row)
+            assert list(row) == list(ref_row)  # a dict row's key order
+        assert [(type(r), list(r), r) for r in g.weight_rows] == rows_before
+
+    def test_same_as_a_rebuild_on_the_bundled_files(self, data_dir):
+        paths = sorted(data_dir.glob("*.clq"))
+        assert len(paths) == 10
+        for path in paths:
+            self.assert_weighted(parse_dimacs(path.read_text()))
+
+    @pytest.mark.parametrize("text", ["p edge 4000 0\n", "p edge 0 0\n",
+                                      "p edge 1 0\n", "p edge 3 1\ne 3 1\n"])
+    def test_same_as_a_rebuild_on_edgeless_and_tiny_graphs(self, text):
+        self.assert_weighted(parse_dimacs(text))
+
+    def test_same_as_a_rebuild_on_dict_rows_and_zero_weights(self):
+        sparse = [gen_random(3000, 0.005, 1, 200, seed=3),
+                  gen_random(600, 0.01, 1, 10, seed=4)]
+        assert all(isinstance(g.weight_rows[0], dict) for g in sparse)
+        dense = gen_random(40, 0.5, 1, 10, seed=5)
+        assert isinstance(dense.weight_rows[0], list)
+        for g in sparse + [dense]:
+            zero = with_zero_weights(g)
+            assert any(w == 0 for _, _, w in zero.edges())
+            self.assert_weighted(g)
+            self.assert_weighted(zero)
+
+    def test_weighting_under_the_tracer(self, data_dir, monkeypatch):
+        # the benchmark's tracer replaces the module's WeightedGraph with
+        # a plain function; the weighting must not rely on the class there
+        text = (data_dir / "c-fat200-1.clq").read_text()
+        ref = self.rebuilt(parse_dimacs(text))
+        monkeypatch.setattr(mio, "WeightedGraph",
+                            lambda *args, **kwargs: WeightedGraph(*args, **kwargs))
+        assert apply_dimacs_weights(parse_dimacs(text)) == ref
 
 
 # (text, 1-based line of the error, None when no line is at fault)
