@@ -30,10 +30,11 @@ v. The scores are returned per call, so the solver can tighten that
 bound for a branch vertex p: adding p's edge to each term and taking
 the maxima only over p's neighbors colored before it gives its
 look-ahead (see :mod:`mewclique.solver`). The plain-Python functions
-here define each bound once; invariants mode checks the fast path,
-:class:`ColoringWorkspace`, which finds a heaviest edge into a class
-as the plain max of the row entries over its members: a row reads 0
-at a non-edge and every weight is >= 0.
+here define each bound once; the tests check the fast path,
+:class:`ColoringWorkspace`, against them by replaying whole runs
+(``checked_solve`` in ``tests/conftest.py``). It finds a heaviest
+edge into a class as the plain max of the row entries over its
+members: a row reads 0 at a non-edge and every weight is >= 0.
 Join weights belong to a search node, not to the graph: every function
 here that reads them takes them as an argument and checks each one.
 """
@@ -72,22 +73,23 @@ def coloring_scores(g: WeightedGraph, coloring, join_weights) -> dict:
     earlier = []
     for cls in coloring:
         for v in cls:
-            row = g.weight_rows[v]
-            scores[v] = checked_join_weight(join_weights, v) + sum(
-                _heaviest_edge(row, adj[v] & prev) for prev in earlier)
+            row, linked = g.weight_rows[v], adj[v]
+            score = checked_join_weight(join_weights, v)
+            for prev in earlier:
+                score += _row_max(row, linked & prev)
+            scores[v] = score
         earlier.append(cls.mask)
     return scores
 
 
-def _heaviest_edge(row, linked: int) -> int:
-    """max(row[u]) over the vertices u in bitmask `linked`, 0 if none."""
+def _row_max(row, members: int) -> int:
+    """max(row[u]) over the vertices u in bitmask `members`, 0 if none."""
     top = 0
-    while linked:
-        b = linked & -linked
-        w = row[b.bit_length() - 1]
-        if w > top:
-            top = w
-        linked ^= b
+    while members:
+        u = members.bit_length() - 1
+        members ^= 1 << u
+        if row[u] > top:
+            top = row[u]
     return top
 
 
@@ -114,8 +116,8 @@ def look_ahead_bounds(g: WeightedGraph, coloring, scores, p: int, child):
     if i < 0 or child.mask & ~(g.adj_bits[p] & sum(c.mask for c in coloring[:i])):
         raise ValueError(f"child is not within p's neighbors colored before {p}")
     vw = {u: scores[u] + g.weight_rows[p][u] for u in child}
-    plain = sum(max([vw[u] for u in c & child], default=0) for c in coloring[:i])
-    vws = sorted(((vw[u], u) for u in vw), reverse=True)
+    plain = sum(_row_max(vw, c.mask & child.mask) for c in coloring[:i])
+    vws = sorted(zip(vw.values(), vw), reverse=True)
     recolored, founders = [], 0  # the new classes' masks, their founders' vw
     for w, u in vws:
         for ci, cls in enumerate(recolored):

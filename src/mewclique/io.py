@@ -185,6 +185,9 @@ def gen_random(n, density, w_min=1, w_max=10, seed=0) -> WeightedGraph:
     """
     if not 0 <= density <= 1:
         raise ValueError(f"density must be in [0, 1], got {density}")
+    for name, value in (("w_min", w_min), ("w_max", w_max)):
+        if type(value) is not int:  # bools too, as WeightedGraph would
+            raise ValueError(f"non-int {name} {value!r}")
     if not 1 <= w_min <= w_max:
         raise ValueError(f"need 1 <= w_min <= w_max, got [{w_min}, {w_max}]")
     if type(n) is not int:  # as WeightedGraph would, before range(n) does

@@ -55,7 +55,7 @@ import copy
 import sys
 import time
 
-from .bounds import ColoringWorkspace, coloring_scores, look_ahead_bounds
+from .bounds import ColoringWorkspace
 from .graph import VertexSet, WeightedGraph, is_clique, set_weight
 
 
@@ -63,19 +63,13 @@ class SolverConfig:
     """Knobs for one solve run.
 
     Limits are wall-clock seconds and node counts; None means
-    unlimited. assertion_level "invariants" re-derives all node state
-    at every node and checks every prune against the definitions in
-    :mod:`mewclique.bounds`; it is meant for tests, is orders of
-    magnitude slower, and is refused under python -O, whose stripped
-    asserts would let it check nothing.
+    unlimited.
     """
 
     def __init__(self, time_limit: float | None = None,
-                 node_limit: int | None = None,
-                 assertion_level: str = "off"):  # "off" | "invariants"
+                 node_limit: int | None = None):
         self.time_limit = time_limit
         self.node_limit = node_limit
-        self.assertion_level = assertion_level
 
     def validate(self):
         limit = self.time_limit
@@ -90,11 +84,6 @@ class SolverConfig:
                 raise ValueError(f"node_limit must be an int, got {limit!r}")
             if limit <= 0:
                 raise ValueError("node_limit must be positive when set")
-        if self.assertion_level not in ("off", "invariants"):
-            raise ValueError(f"unknown assertion_level {self.assertion_level!r}")
-        if self.assertion_level == "invariants" and not __debug__:
-            raise ValueError("assertion_level 'invariants' checks with assert "
-                             "statements, which python -O strips")
 
 
 class SolveResult:
@@ -147,44 +136,11 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
     iterations = 0
     aborted = False
     node_limit = cfg.node_limit
-    checking = cfg.assertion_level == "invariants"
-    heaviest_seen = 0  # checking only: largest clique weight constructed
     start = time.perf_counter()
     deadline = start + cfg.time_limit if cfg.time_limit is not None else None
 
-    def verify_node(s_mask, weight_c, keys, cmask):
-        cset = VertexSet.from_mask(cmask)
-        assert is_clique(g, cset), "current members are not a clique"
-        assert weight_c == set_weight(g, cset), "incremental weight drifted"
-        expected = []
-        for v in VertexSet.from_mask(s_mask):
-            assert adj[v] & cmask == cmask, "candidate misses a clique member"
-            expected.append(sum(rows[v][u] for u in cset) << sh | v)
-        assert sorted(keys) == sorted(expected), "stale plan keys"
-
-    def verify_plan(s_mask, keys, order, ubs, classes, score):
-        # every dead end and break trusts the plan: check it against bounds.py
-        coloring = [VertexSet.from_mask(cls) for cls in classes]
-        jw = {k & low: k >> sh for k in keys}
-        assert score == coloring_scores(g, coloring, jw), "scores drifted"
-        at = {v: i for i, cls in enumerate(coloring) for v in cls}
-        ranks = [at[v] for v in order]
-        assert sum(classes) == s_mask and sorted(order) == sorted(jw) and \
-            ranks == sorted(ranks, reverse=True), "order and coloring disagree"
-        tops = [max(score[v] for v in cls) for cls in coloring]
-        assert ubs == sorted(ubs, reverse=True) == [
-            score[v] + sum(tops[:at[v]]) for v in order], "bounds drifted"
-        return coloring
-
-    def verify_skip(p, child, coloring, score, weight_p, bound):
-        plain, recolored = look_ahead_bounds(g, coloring, score, p,
-                                             VertexSet.from_mask(child))
-        rebuilt = weight_p + (plain if weight_p + plain <= best_w else recolored)
-        assert bound == rebuilt, "look-ahead bound drifted from its definition"
-        assert bound <= best_w, "a child that could beat the incumbent was skipped"
-
     def expand(s_mask, weight_c, keys, cmask, plan):
-        nonlocal iterations, aborted, best_mask, best_w, heaviest_seen
+        nonlocal iterations, aborted, best_mask, best_w
         if node_limit is not None and iterations >= node_limit:
             aborted = True
             return
@@ -192,26 +148,18 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
             aborted = True
             return
         iterations += 1
-        if checking:
-            verify_node(s_mask, weight_c, keys, cmask)
-            if weight_c > heaviest_seen:
-                heaviest_seen = weight_c
         if not s_mask:
             if weight_c > best_w:
                 best_w = weight_c
                 best_mask = cmask
             return
         order, ubs, classes, score = (plan or light).run(s_mask, keys)
-        if checking:
-            coloring = verify_plan(s_mask, keys, order, ubs, classes, score)
         if weight_c + ubs[0] <= best_w:
             return  # a dead end: bounds are non-increasing along the order
         if plan is None and cmask:  # a root branch keeps its better order
             plan, slack, alt = light, best_w - weight_c, heavy.run(s_mask, keys)
             if sum(ub > slack for ub in alt[1]) < sum(ub > slack for ub in ubs):
                 (order, ubs, classes, score), plan = alt, heavy
-                if checking:
-                    coloring = verify_plan(s_mask, keys, *alt)
         key = dict(zip(map(low.__and__, keys), keys))  # v -> its key
         remaining = s_mask
         for p, ub in zip(order, ubs):
@@ -264,8 +212,6 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
                 expand(child, weight_p, child_keys, cmask | 1 << p, plan)
                 if aborted:
                     return
-            elif checking:
-                verify_skip(p, child, coloring, score, weight_p, ahead)
             remaining ^= 1 << p
 
     # recursion depth is at most one level per clique vertex
@@ -281,8 +227,6 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
 
     result = VertexSet.from_mask(best_mask)
     assert is_clique(g, result) and set_weight(g, result) == best_w
-    if checking and not aborted:
-        assert best_w >= heaviest_seen, "an incumbent update was missed"
     return SolveResult(
         best_clique=result,
         best_weight=best_w,

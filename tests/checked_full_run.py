@@ -1,4 +1,4 @@
-"""Invariants mode over every bundled instance, cold and warm.
+"""Every bundled instance solved and certified, cold and warm.
 
 Each of the benchmark's nine instances must be proven at its optimum,
 once cold and once after the benchmark's warm start (PLS, 10
@@ -7,25 +7,27 @@ order against a different incumbent. johnson16-2-4, whose full proof
 takes 142,545 nodes cold, must stop at the node limit. A sparse-large
 sized graph (n = 3000, density 0.005), whose root coloring makes
 classes of hundreds of members, must be proven at its brute-force
-optimum, cold and warm. On the way, invariants mode checks every
-node's scores, bounds and look-ahead skips against the definitions in
-mewclique.bounds. This is not a tier-1 test (it takes about a minute);
-CI runs it as a step of its own. From the root of a checkout:
+optimum, cold and warm. Each run goes through conftest.checked_solve,
+which records the run's colorings and replays its search, checking
+every node's plan against the definitions in mewclique.bounds and
+making every prune and skip itself. This is not a tier-1 test (it takes
+34-49 s on a shared 2-CPU VM); CI runs it as a step of its own. From
+the root of a checkout:
 
-    PYTHONPATH=src python tests/invariants_full_run.py
+    PYTHONPATH=src python tests/checked_full_run.py
 """
 
 import time
 
-from conftest import BENCHMARK_OPTIMA, DATA_DIR, load_dimacs
+from conftest import BENCHMARK_OPTIMA, DATA_DIR, checked_solve, load_dimacs
 from mewclique import (PlsConfig, SolverConfig, brute_force_mewc,
-                       gen_random, pls, solve)
+                       gen_random, pls)
 
 NODE_LIMIT = 20000
 
 
 def main():
-    cfg = SolverConfig(assertion_level="invariants", node_limit=NODE_LIMIT)
+    cfg = SolverConfig(node_limit=NODE_LIMIT)
     names = sorted(path.stem for path in DATA_DIR.glob("*.clq"))
     assert names == sorted([*BENCHMARK_OPTIMA, "johnson16-2-4"]), names
     sparse = gen_random(3000, 0.005, 1, 200, seed=1)
@@ -38,7 +40,7 @@ def main():
         start = time.perf_counter()
         g = sparse if name == "sparse3000" else load_dimacs(name)
         c_initial = pls(g, PlsConfig(iterations=10, seed=0)) if warm else None
-        res = solve(g, c_initial, cfg)
+        res = checked_solve(g, c_initial, cfg)
         print(f"{name} ({'warm' if warm else 'cold'}): weight "
               f"{res.best_weight}, {res.iterations} nodes, proven "
               f"{res.proven_optimal}, {time.perf_counter() - start:.1f} s",

@@ -358,10 +358,20 @@ class TestGenRandom:
         dict(n=5, density=0.5, w_min=0),
         dict(n=5, density=0.5, w_min=4, w_max=2),
         dict(n=-2, density=0.5),
+        # a non-int weight bound fails here, not inside randint (or,
+        # with no edge drawn, not at all)
+        dict(n=5, density=0.5, w_min=1, w_max=2.5),
+        dict(n=5, density=0.0, w_min=1.5, w_max=3),
+        dict(n=5, density=0.5, w_min=True, w_max=3),
     ])
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(ValueError):
             gen_random(**kwargs)
+
+    @pytest.mark.parametrize("name", ["w_min", "w_max"])
+    def test_names_a_non_int_weight_bound(self, name):
+        with pytest.raises(ValueError, match=name):
+            gen_random(5, 0.5, **{"w_min": 1, "w_max": 3, name: 2.0})
 
 
 @given(seed=st.integers(0, 10 ** 6), n=st.integers(0, 16),

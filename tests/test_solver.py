@@ -12,8 +12,9 @@ from mewclique import (PlsConfig, SolverConfig, VertexSet, WeightedGraph,
                        brute_force_mewc, gen_random, graph, is_clique, pls,
                        set_weight, solve, solver)
 
-from conftest import (BENCHMARK_OPTIMA, DATA_DIR, checkout_env,
-                      interrupting_workspace, load_dimacs, with_zero_weights)
+from conftest import (BENCHMARK_OPTIMA, DATA_DIR, _reference_solve,
+                      checked_solve, checkout_env, interrupting_workspace,
+                      load_dimacs, with_zero_weights)
 
 FINGERPRINT = (Path(__file__).parent.parent / "perfbench"
                / "baseline-fingerprint-dimacs9.json")
@@ -30,7 +31,6 @@ class TestValidation:
     @pytest.mark.parametrize("cfg", [
         SolverConfig(time_limit=0),
         SolverConfig(node_limit=0),
-        SolverConfig(assertion_level="debug"),
     ])
     def test_rejects_bad_config(self, g6, cfg):
         with pytest.raises(ValueError):
@@ -48,24 +48,14 @@ class TestValidation:
             solve(g6, config=SolverConfig(**{field: value}))
 
     @pytest.mark.parametrize("field", ["use_coloring_bound",
-                                       "use_initial_solution"])
+                                       "use_initial_solution",
+                                       "assertion_level"])
     def test_removed_field_fails_loudly(self, field):
-        # the search always colors, and warm-starts exactly when given
-        # c_initial; an old caller's switch must not be silently ignored
+        # the search always colors, warm-starts exactly when given
+        # c_initial and is checked from outside (checked_solve); an old
+        # caller's switch must not be silently ignored
         with pytest.raises(TypeError, match=field):
             SolverConfig(**{field: False})
-
-    def test_invariants_refused_without_assertions(self):
-        # python -O strips the asserts that invariants mode checks with,
-        # so it would check nothing and still report a proof
-        code = ("from mewclique import SolverConfig\n"
-                "SolverConfig().validate()\n"
-                "SolverConfig(assertion_level='invariants').validate()\n")
-        proc = subprocess.run([sys.executable, "-O", "-c", code],
-                              env=checkout_env(), capture_output=True,
-                              text=True, timeout=60)
-        assert proc.returncode != 0
-        assert "ValueError" in proc.stderr and "assertion_level" in proc.stderr
 
 
 class TestBasics:
@@ -135,7 +125,6 @@ class TestOracleEquivalence:
             assert set_weight(g, res.best_clique) == weight
 
     def test_with_invariant_checks(self):
-        cfg = SolverConfig(assertion_level="invariants")
         graphs = [gen_random(10, 0.5, 1, 10, seed=seed) for seed in range(10)]
         graphs += [with_zero_weights(g) for g in graphs[:5]]
         sparse = gen_random(300, 0.01, 1, 10, seed=0)
@@ -144,7 +133,7 @@ class TestOracleEquivalence:
         for seed, g in enumerate(graphs):
             want = brute_force_mewc(g, n_limit=g.n)[1]
             for start in (None, pls(g, PlsConfig(iterations=2, seed=seed))):
-                res = solve(g, start, cfg)
+                res = checked_solve(g, start)
                 assert res.proven_optimal and res.best_weight == want
 
     def test_warm_start_neutrality(self):
@@ -219,119 +208,76 @@ class TestLimits:
         assert set_weight(g, res.best_clique) == res.best_weight
 
 
+def _score_raised(order, ubs, classes, score):
+    return order, ubs, classes, {**score, order[0]: score[order[0]] + 1}
+
+
+def _last_bound_lowered(order, ubs, classes, score):
+    return order, ubs[:-1] + [ubs[-1] - 1], classes, score
+
+
+def _last_vertex_left_out(order, ubs, classes, score):
+    if len(order) > 1:  # an empty order would stop the search itself
+        order, ubs = order[:-1], ubs[:-1]
+    return order, ubs, classes, score
+
+
+class TestChecker:
+    """checked_solve, the replay that certifies a run. Faults are
+    ColoringWorkspace subclasses patched into mewclique.solver, as
+    interrupting_workspace is."""
+
+    @pytest.mark.parametrize("fault, message", [
+        pytest.param(_score_raised, "scores drifted", id="score-raised"),
+        pytest.param(_last_bound_lowered, "bounds drifted",
+                     id="last-bound-lowered"),
+        pytest.param(_last_vertex_left_out, "order and coloring disagree",
+                     id="last-vertex-left-out"),
+    ])
+    def test_catches_a_faulty_plan(self, monkeypatch, g6, fault, message):
+        class Faulty(solver.ColoringWorkspace):
+            def run(self, s_mask, keys):
+                return fault(*super().run(s_mask, keys))
+
+        instances = [g6, gen_random(12, 0.5, 1, 10, seed=1)]
+        for g in instances:
+            checked_solve(g)  # the unmodified run passes
+        monkeypatch.setattr(solver, "ColoringWorkspace", Faulty)
+        for g in instances:
+            with pytest.raises(AssertionError, match=message):
+                checked_solve(g)
+
+    def test_replays_a_stopped_run(self):
+        # replayed up to the node the limit stopped it at
+        g = gen_random(60, 0.9, 1, 10, seed=3)  # its proof takes 6,441 nodes
+        warm = pls(g, PlsConfig(iterations=1, seed=1))
+        for start in (None, warm):
+            res = checked_solve(g, start, SolverConfig(node_limit=200))
+            assert not res.proven_optimal and res.iterations == 200
+        res = checked_solve(g, config=SolverConfig(time_limit=0.05))
+        assert not res.proven_optimal
+
+    def test_refused_under_python_O(self):
+        # python -O strips the asserts the replay checks with, so it
+        # would check nothing and still pass a run
+        code = ("import sys\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "from conftest import checked_solve\n"
+                "from mewclique import WeightedGraph\n"
+                "checked_solve(WeightedGraph(2, [(0, 1, 1)]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code, str(Path(__file__).parent)],
+            env=checkout_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "-O" in proc.stderr.strip().splitlines()[-1]
+
+
 def test_determinism():
     g = gen_random(16, 0.6, 1, 10, seed=4)
     runs = [solve(g) for _ in range(3)]
     assert len({r.best_weight for r in runs}) == 1
     assert len({r.best_clique for r in runs}) == 1
     assert len({r.iterations for r in runs}) == 1
-
-
-def _reference_solve(g):
-    """Literal, uncached transliteration of the search for trace
-    comparison: join weights, clique weights and scores are recomputed
-    from scratch at every node, the branch loop tests every candidate,
-    and plain lists and sets stand in for bitmasks. Each color class
-    takes, by increasing (score, v) or, heaviest-first, by decreasing
-    (score, v), every uncolored vertex with no neighbor in it; the
-    branch order runs from the last class to the first, each class by
-    decreasing (score, v). The root colors lightest-first. A child of
-    the root does too and, unless no bound beats its slack (incumbent
-    less clique weight), also heaviest-first; its whole subtree keeps
-    the coloring with fewer bounds beating that slack, ties to
-    lightest-first. A branch is skipped without a node when its clique
-    weight plus, per earlier class, the best vw(u) = score(u) + w(p, u)
-    over its child cannot beat the incumbent, or, when it can, its
-    clique weight plus the vw of each class founder of the child's
-    heaviest-first recoloring cannot: by decreasing (vw, u), each child
-    member joins the first class it has no neighbor in, or founds a new
-    one. The recoloring is summed whole: the solver stops it once the
-    sum beats the incumbent, a shortcut that must not change a decision.
-    Slow on purpose. Join weights and scores read a dense matrix rebuilt
-    from g.edges(), not the graph's weight rows. Returns (best weight,
-    nodes, root branches that kept heaviest-first)."""
-    adj = g.adj_bits
-    w = [[0] * g.n for _ in range(g.n)]
-    for u, v, wt in g.edges():
-        w[u][v] = w[v][u] = wt
-    state = {"best": 0, "iterations": 0, "heaviest": 0}
-
-    def weight_of(members):
-        return set_weight(g, VertexSet(members))
-
-    def calc(c_members, s_members, heaviest):
-        score = {v: sum(w[u][v] for u in c_members) for v in s_members}
-
-        def rank(v):
-            return score[v], v
-
-        uncolored = list(s_members)
-        upper, classes = {}, []
-        while uncolored:
-            closed = sum(max(score[u] for u in cls) for cls in classes)
-            cls = []
-            for v in sorted(uncolored, key=rank, reverse=heaviest):
-                if all(not (adj[v] >> u) & 1 for u in cls):
-                    upper[v] = score[v] + closed
-                    cls.append(v)
-            classes.append(cls)
-            uncolored = [v for v in uncolored if v not in cls]
-            for v in uncolored:
-                linked = [w[u][v] for u in cls if (adj[v] >> u) & 1]
-                if linked:
-                    score[v] += max(linked)
-        order = [v for cls in reversed(classes)
-                 for v in sorted(cls, key=rank, reverse=True)]
-        return order, upper, classes, score
-
-    def ahead(c_members, p, child, classes, score):
-        i = next(j for j, cls in enumerate(classes) if p in cls)
-        total = weight_of(c_members + [p])
-        vw = {u: score[u] + w[p][u] for u in child}
-        plain = total + sum(max([vw[u] for u in cls if u in vw], default=0)
-                            for cls in classes[:i])
-        if plain <= state["best"]:
-            return plain
-        recolored = []  # sets of pairwise non-adjacent child members
-        for u in sorted(vw, key=lambda u: (vw[u], u), reverse=True):
-            for cls in recolored:
-                if all(not (adj[u] >> x) & 1 for x in cls):
-                    cls.add(u)
-                    break
-            else:
-                recolored.append({u})
-        return total + sum(max(vw[u] for u in cls) for cls in recolored)
-
-    def expand(c_members, s_members, heaviest):
-        state["iterations"] += 1
-        if not s_members:
-            wc = weight_of(c_members)
-            if wc > state["best"]:
-                state["best"] = wc
-            return
-        wc = weight_of(c_members)
-        order, upper, classes, score = calc(c_members, s_members, heaviest)
-        if len(c_members) == 1:
-            slack = state["best"] - wc
-            light = sum(ub > slack for ub in upper.values())
-            if not light:
-                return  # a dead end: no second coloring
-            plan = calc(c_members, s_members, True)
-            if sum(ub > slack for ub in plan[1].values()) < light:
-                order, upper, classes, score = plan
-                heaviest = True
-                state["heaviest"] += 1
-        branched = set()
-        for p in order:
-            if wc + upper[p] > state["best"]:
-                child = [v for v in s_members
-                         if v not in branched and (adj[p] >> v) & 1]
-                if ahead(c_members, p, child, classes, score) > state["best"]:
-                    expand(c_members + [p], child, heaviest)
-            branched.add(p)
-
-    expand([], list(range(g.n)), False)
-    return state["best"], state["iterations"], state["heaviest"]
 
 
 def test_matches_reference_implementation_node_for_node(g6):
@@ -388,11 +334,11 @@ COLD_NODES_UNDER_1000 = {"johnson8-2-4": 32, "hamming6-4": 103,
 
 
 def test_invariants_on_bundled_instances():
-    cfg = SolverConfig(assertion_level="invariants", node_limit=1000)
+    cfg = SolverConfig(node_limit=1000)
     paths = sorted(DATA_DIR.glob("*.clq"))
     assert len(paths) == 10
     for path in paths:
-        res = solve(load_dimacs(path.stem), config=cfg)
+        res = checked_solve(load_dimacs(path.stem), config=cfg)
         nodes = COLD_NODES_UNDER_1000.get(path.stem)
         assert res.iterations == (nodes or 1000), path.stem
         assert res.proven_optimal == (nodes is not None), path.stem
