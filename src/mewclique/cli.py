@@ -87,7 +87,7 @@ def _run_solve(path, auto_weight, unit_weights, pls_iters, seed, time_limit,
 
 
 def _cell(key, value):
-    if value == "" or value is None:
+    if value == "":
         return ""
     if key == "clique":
         return " ".join(str(x) for x in value)
@@ -202,7 +202,7 @@ def cmd_bench(args):
     total["instance"] = "TOTAL"
     done = [r for r in rows if not r["error"]]
     for key in TIME_FIELDS + ("iterations",):
-        total[key] = sum(r[key] for r in done) if done else 0
+        total[key] = sum(r[key] for r in done)
 
     stream = open(args.out, "w", newline="") if args.out else sys.stdout
     try:

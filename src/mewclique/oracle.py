@@ -51,5 +51,5 @@ def brute_force_mewc(g: WeightedGraph, join_weights=None,
             extend(cand & adj[v], weight + gain)
             members.pop()
 
-    extend((1 << n) - 1 if n else 0, 0)
+    extend((1 << n) - 1, 0)
     return VertexSet(best_members), best_w

@@ -86,6 +86,10 @@ class SolverConfig:
                 raise ValueError("node_limit must be positive when set")
 
 
+class _Stopped(Exception):
+    """A node or time limit ends the search, as Ctrl-C does."""
+
+
 class SolveResult:
     """Outcome of one solve run.
 
@@ -134,19 +138,15 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
     sh = n.bit_length()  # candidate keys are jw(v) << sh | v
     low = (1 << sh) - 1
     iterations = 0
-    aborted = False
     node_limit = cfg.node_limit
     start = time.perf_counter()
     deadline = start + cfg.time_limit if cfg.time_limit is not None else None
 
     def expand(s_mask, weight_c, keys, cmask, plan):
-        nonlocal iterations, aborted, best_mask, best_w
-        if node_limit is not None and iterations >= node_limit:
-            aborted = True
-            return
-        if deadline is not None and time.perf_counter() > deadline:
-            aborted = True
-            return
+        nonlocal iterations, best_mask, best_w
+        if iterations == node_limit or (
+                deadline is not None and time.perf_counter() > deadline):
+            raise _Stopped
         iterations += 1
         if not s_mask:
             if weight_c > best_w:
@@ -210,19 +210,19 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
                             break
             if ahead > best_w:
                 expand(child, weight_p, child_keys, cmask | 1 << p, plan)
-                if aborted:
-                    return
             remaining ^= 1 << p
 
     # recursion depth is at most one level per clique vertex
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, n + 512))
+    proven = True
     try:
-        expand((1 << n) - 1 if n else 0, 0, list(range(n)), 0, None)
-    except KeyboardInterrupt:  # Ctrl-C: return the incumbent, unproven
-        aborted = True
+        expand((1 << n) - 1, 0, list(range(n)), 0, None)
+    except (_Stopped, KeyboardInterrupt):  # return the incumbent, unproven
+        proven = False
     finally:
         sys.setrecursionlimit(old_limit)
+        expand = None  # the closure holds itself; free it and its workspaces
     elapsed = time.perf_counter() - start
 
     result = VertexSet.from_mask(best_mask)
@@ -230,7 +230,7 @@ def solve(g: WeightedGraph, c_initial: VertexSet | None = None,
     return SolveResult(
         best_clique=result,
         best_weight=best_w,
-        proven_optimal=not aborted,
+        proven_optimal=proven,
         iterations=iterations,
         elapsed=elapsed,
         initial_weight=initial_w,

@@ -135,8 +135,8 @@ def checked_solve(g, c_initial=None, config=None):
         None if res.proven_optimal else res.iterations)
     assert nodes == res.iterations, "the run's node count differs"
     assert best == res.best_weight, "the run's best weight differs"
-    # the solve's closures keep Recording, and with it the records,
-    # alive until the next garbage collection
+    # Recording, like every class, is freed only by the cyclic
+    # collector, and its run keeps the records
     records.clear()
     return res
 
@@ -309,7 +309,7 @@ def count_cliques(g):
             cand ^= b
             rec(cand & adj[v])
 
-    rec((1 << g.n) - 1 if g.n else 0)
+    rec((1 << g.n) - 1)
     return count
 
 

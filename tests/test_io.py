@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 import mewclique
 import mewclique.io as mio
 from mewclique import (ParseError, VertexSet, WeightedGraph,
-                       apply_dimacs_weights, gen_random, parse_dimacs,
-                       parse_weighted_edge_list, read_instance,
+                       apply_dimacs_weights, gen_random, instance_format,
+                       parse_dimacs, parse_weighted_edge_list, read_instance,
                        write_weighted_edge_list)
 
 from conftest import SIX_EDGES, with_zero_weights
@@ -447,6 +447,32 @@ def test_comment_fails_the_whole_text_test_only(instance, data, char):
         line = exc.line if exc.line is None or exc.line <= at else exc.line + 1
         message = str(exc).removeprefix(f"line {exc.line}: ")
         assert (exc2.line, str(exc2)) == (line, str(ParseError(message, line)))
+
+
+class TestInstanceFormat:
+    @pytest.mark.parametrize("text, fmt", [
+        ("p edge 2 1\ne 1 2\n", "dimacs"),
+        ("c a comment\np wedge 2 1\ne 1 2 7\n", "wedge"),
+        # content lines before the p line are passed over
+        ("e 1 2\ne 2 3 4\np edge 3 2\n", "dimacs"),
+        ("x y\np wedge 0 0\n", "wedge"),
+        # only the header is read: what follows it is not checked
+        ("p edge 2 1\ne 1 2 \xe7\n", "dimacs"),
+    ])
+    def test_names_the_format_of_the_p_line(self, text, fmt):
+        assert instance_format(text) == fmt
+
+    @pytest.mark.parametrize("text, line", [
+        pytest.param("c no problem line\ne 1 2\n", None, id="no-p-line"),
+        pytest.param("", None, id="empty"),
+        pytest.param("p col 3 3\n", 1, id="unknown-tag"),
+        pytest.param("c ok\ne 1 \xe7\np edge 2 1\n", 2,
+                     id="non-ascii-before-p"),
+    ])
+    def test_refusals(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            instance_format(text)
+        assert exc.value.line == line
 
 
 class TestReadInstance:

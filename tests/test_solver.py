@@ -1,9 +1,11 @@
+import gc
 import inspect
 import json
 import math
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -206,6 +208,37 @@ class TestLimits:
         assert not res.proven_optimal
         assert is_clique(g, res.best_clique)
         assert set_weight(g, res.best_clique) == res.best_weight
+
+    @pytest.mark.parametrize("node_limit, interrupt_after, proven", [
+        pytest.param(None, None, True, id="proven"),
+        pytest.param(5, None, False, id="node-limit"),
+        pytest.param(None, 10, False, id="ctrl-c"),
+    ])
+    def test_keeps_no_workspace_alive(self, monkeypatch, node_limit,
+                                      interrupt_after, proven):
+        # with the cyclic collector off, every workspace of the search
+        # (both coloring orders, copies included) dies as solve returns
+        base = (solver.ColoringWorkspace if interrupt_after is None
+                else interrupting_workspace(interrupt_after))
+        refs = []
+
+        class Tracked(base):
+            def __new__(cls, *args):
+                ws = super().__new__(cls)
+                refs.append(weakref.ref(ws))
+                return ws
+
+        monkeypatch.setattr(solver, "ColoringWorkspace", Tracked)
+        g = gen_random(30, 0.6, 1, 10, seed=1)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            res = solve(g, config=SolverConfig(node_limit=node_limit))
+            assert res.proven_optimal == proven
+            assert len(refs) == 2 and [r() for r in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def _score_raised(order, ubs, classes, score):
