@@ -105,21 +105,34 @@ def vertex_weighted_upper_bound(g: WeightedGraph, coloring, join_weights) -> int
     return sum(max(scores[v] for v in cls) for cls in coloring)
 
 
-def look_ahead_bounds(g: WeightedGraph, coloring, scores, p: int, child):
-    """(plain, recolored), the look-ahead bounds of branch vertex p's
-    child, a VertexSet of p's neighbors colored before p (see
-    :mod:`mewclique.solver`). With vw(u) = scores[u] + w(p, u), plain sums
-    the best child vw per class before p's, and recolored the founders'
-    vw of the child's first-fit recoloring by decreasing (vw, u)."""
+def _child_vw(g: WeightedGraph, coloring, scores, p: int, child):
+    """(i, vw): p's class index, and vw(u) = scores[u] + w(p, u) over the
+    child, a VertexSet of p's neighbors colored before p."""
     g._check_subset(child)
-    i = next((i for i, cls in enumerate(coloring) if p in cls), -1)
+    i = next((i for i, cls in enumerate(coloring) if cls.mask >> p & 1), -1)
     if i < 0 or child.mask & ~(g.adj_bits[p] & sum(c.mask for c in coloring[:i])):
         raise ValueError(f"child is not within p's neighbors colored before {p}")
-    vw = {u: scores[u] + g.weight_rows[p][u] for u in child}
-    plain = sum(_row_max(vw, c.mask & child.mask) for c in coloring[:i])
-    vws = sorted(zip(vw.values(), vw), reverse=True)
+    row, vw, members = g.weight_rows[p], {}, child.mask
+    while members:  # a bit walk: the VertexSet's own iterator is slower
+        u = members.bit_length() - 1
+        members ^= 1 << u
+        vw[u] = scores[u] + row[u]
+    return i, vw
+
+
+def look_ahead_plain(g: WeightedGraph, coloring, scores, p: int, child) -> int:
+    """The plain look-ahead bound of branch vertex p's child (see
+    :mod:`mewclique.solver`): the best child vw per class before p's."""
+    i, vw = _child_vw(g, coloring, scores, p, child)
+    return sum(_row_max(vw, c.mask & child.mask) for c in coloring[:i])
+
+
+def look_ahead_recolored(g: WeightedGraph, coloring, scores, p: int, child) -> int:
+    """The recolored look-ahead bound of branch vertex p's child: the
+    founders' vw of the child's first-fit recoloring by decreasing (vw, u)."""
+    _, vw = _child_vw(g, coloring, scores, p, child)
     recolored, founders = [], 0  # the new classes' masks, their founders' vw
-    for w, u in vws:
+    for w, u in sorted(zip(vw.values(), vw), reverse=True):
         for ci, cls in enumerate(recolored):
             if not g.adj_bits[u] & cls:
                 recolored[ci] = cls | 1 << u
@@ -127,7 +140,7 @@ def look_ahead_bounds(g: WeightedGraph, coloring, scores, p: int, child):
         else:  # u founds a class, and is its heaviest member
             recolored.append(1 << u)
             founders += w
-    return plain, founders
+    return founders
 
 
 class SeqAndBounds:

@@ -6,7 +6,8 @@ is stored as one int bitmask per vertex, so candidate-set operations in
 the search are single big-int ANDs. Edge weights live in one row per
 vertex, so the bound computation reads w(u, v) as ``rows[u][v]``: a
 list of n weights on a dense graph, a dict keyed by neighbor on a
-sparse one, so that memory grows with n + m there, not with n².
+sparse one, so that memory grows with n + m there, not with n². A
+dict-row graph builds its masks once, from its rows' keys.
 
 A weight of 0 on an existing edge is legal; non-edges always weigh 0.
 Vertex (join) weights are an argument of the functions that read them.
@@ -125,7 +126,7 @@ class WeightedGraph:
         adj = [0] * n
         # rows are dicts while n * n > _SPARSE_RATIO * (n + 2m), that is
         # while m < dense_at, and lists from then on, so the edges are
-        # read once, as they come
+        # read once, as they come; a dict row's keys are its neighbors
         dense_at = -(-(n * n - _SPARSE_RATIO * n) // (2 * _SPARSE_RATIO))
         rows = [_SparseRow() if dense_at > 0 else [0] * n for _ in range(n)]
         m = 0
@@ -138,18 +139,20 @@ class WeightedGraph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if type(w) is not int or w < 0:
                 raise ValueError(_weight_error(w, f"edge ({u}, {v})"))
-            if (adj[u] >> v) & 1:
+            if (v in rows[u]) if m < dense_at else (adj[u] >> v) & 1:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            if m >= dense_at:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
             rows[u][v] = w
             rows[v][u] = w
             m += 1
             if m == dense_at:
+                adj = [_mask(row, n) for row in rows]
                 rows = [_list_row(row, n) for row in rows]
         self.n = n
         self.m = m
-        self.adj_bits = adj
+        self.adj_bits = adj if m >= dense_at else [_mask(r, n) for r in rows]
         self.weight_rows = rows
 
     def neighbors(self, v: int) -> VertexSet:
@@ -214,6 +217,14 @@ class WeightedGraph:
             raise TypeError(f"expected a VertexSet, got {type(s).__name__}")
         if s.mask >> self.n:
             raise ValueError(f"vertex set {s!r} not within 0..{self.n - 1}")
+
+
+def _mask(row: dict, n: int) -> int:
+    """A dict row's neighbor bitmask, faster from a byte array than 1 << v."""
+    bits = bytearray((n + 7) >> 3)
+    for v in row:
+        bits[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(bits, "little")
 
 
 def _list_row(row: dict, n: int) -> list:

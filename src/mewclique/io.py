@@ -20,9 +20,12 @@ lines are tested one by one only when one test of the text from its first
 content line on fails, so a comment header before the ``p`` line (a file
 name with ``_`` in it, say) costs no per-line tests. Edges stream into
 ``WeightedGraph``, which makes every range, self-loop, weight and
-duplicate check. ``read_instance`` decodes Latin-1, which maps every
-byte, with universal newlines. The declared vertex count is authoritative,
-the edge count unchecked (files in the wild disagree).
+duplicate check. A ``p wedge`` text that passes that test and is its ``p``
+line and then only ``e <i> <j> <w>`` lines is read as columns; any other,
+or one whose columns are refused, goes line by line, so every error names
+its line. ``read_instance`` decodes Latin-1, which maps every byte, with
+universal newlines. The declared vertex count is authoritative, the edge
+count unchecked (files in the wild disagree).
 
 ``apply_dimacs_weights`` pairs a parsed DIMACS graph's adjacency with new
 rows of the benchmark weighting, so no edge is checked twice, and
@@ -31,6 +34,7 @@ rows of the benchmark weighting, so no edge is checked twice, and
 
 import copy
 import random
+from contextlib import suppress
 from pathlib import Path
 
 from .graph import WeightedGraph
@@ -60,7 +64,7 @@ def _printable(s):
 
 def _content_lines(text, clean):
     # clean None: test the text from the first content line on, False: each
-    # line. Not splitlines(), which also breaks at "\x0c", "\x85", "\u2028"
+    # line, True: none. Not splitlines(), which breaks at "\x0c", "\x85"
     lines = text.split("\n")
     for line_no, raw in enumerate(lines, start=1):
         tokens = raw.split()
@@ -116,9 +120,28 @@ def _edges(lines, n, weighted):
                 f"duplicate edge ({i}, {j})"), line_no) from None
 
 
+def _edge_columns(text) -> WeightedGraph:
+    # The p line comes first. If the k other lines start "e ", there are
+    # 4k + 4 tokens and columns 1-3 hold ints, each "e" is in column 0: each
+    # line is 'e <i> <j> <w>'. Else, or if the graph refuses, ValueError.
+    k, tokens = text.count("\ne "), text.split()
+    found, n = _parse_header(tokens[:4], 1)
+    if (found, len(tokens), text.count("\n") - text.endswith("\n")) != (
+            "wedge", 4 * k + 4, k):
+        raise ValueError("not a 'p wedge' line and 'e <i> <j> <w>' lines")
+    i, j = (list(map((-1).__add__, map(int, tokens[c::4]))) for c in (5, 6))
+    w = list(map(int, tokens[7::4]))
+    del tokens  # its strings outweigh the graph: free them before the build
+    return WeightedGraph(n, zip(i, j, w))
+
+
 def _parse(text, tag) -> WeightedGraph:
     """Parse instance text whose ``p`` line must carry ``tag``."""
-    lines = _content_lines(text, None)
+    clean = None  # the line walk tests the text from its first content line
+    if tag == "wedge" and text.startswith("p ") and (clean := _printable(text)):
+        with suppress(ValueError):  # only the line walk names an error
+            return _edge_columns(text)
+    lines = _content_lines(text, clean)
     line_no, tokens = next(lines, (None, None))
     if tokens is None or tokens[0] != "p":
         raise ParseError("missing problem line" if tokens is None else

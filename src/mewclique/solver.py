@@ -40,8 +40,8 @@ heaviest member, so
 The walk stops as soon as that sum beats the incumbent. When neither
 bound does, the child is skipped without a node. Every skipped subtree
 holds no clique heavier than the incumbent, so the look-ahead changes
-node counts, never best weights or the incumbent sequence. Both
-bounds are defined by :func:`mewclique.bounds.look_ahead_bounds`.
+node counts, never best weights or the incumbent sequence. The two
+bounds are defined by :mod:`mewclique.bounds`' ``look_ahead_*``.
 
 The root colors lightest-first. A root branch, a child of the root, does
 too and, unless that makes it a dead end, also heaviest-first; it keeps

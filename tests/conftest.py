@@ -8,7 +8,7 @@ import pytest
 from mewclique import (ColoringWorkspace, PlsConfig, VertexSet,
                        WeightedGraph, apply_dimacs_weights, coloring_scores,
                        is_clique, parse_dimacs, pls, set_weight, solve, solver)
-from mewclique.bounds import look_ahead_bounds
+from mewclique.bounds import look_ahead_plain, look_ahead_recolored
 
 # Hypothesis reports a failing example through hypothesis.extra._patching,
 # whose libcst import raises a DeprecationWarning; filterwarnings = error
@@ -158,11 +158,11 @@ def _reference_solve(g, best=0, records=None, nodes=None):
     beats its slack (incumbent less clique weight), also heaviest-first;
     its whole subtree keeps the coloring with fewer bounds beating that
     slack, ties to lightest-first. A branch is skipped without a node
-    when either of its two look-ahead bounds,
-    mewclique.bounds.look_ahead_bounds, plus its clique weight cannot
-    beat the incumbent. Slow on purpose. Join weights and scores read
-    edge weights from one dict per vertex, rebuilt from g.edges(), not
-    the graph's weight rows.
+    when its clique weight plus mewclique.bounds.look_ahead_plain or,
+    where that beats the incumbent, plus look_ahead_recolored cannot
+    beat it. Slow on purpose. Join weights and scores read edge weights
+    from one dict per vertex, rebuilt from g.edges(), not the graph's
+    weight rows.
 
     best is the initial incumbent weight (a warm start's). records,
     when given, replaces the coloring here with a run's plans: one
@@ -261,9 +261,11 @@ def _reference_solve(g, best=0, records=None, nodes=None):
             remaining ^= 1 << p
             if wc + upper[p] > state["best"]:
                 child = VertexSet.from_mask(remaining & adj[p])
-                plain, recolored = look_ahead_bounds(g, classes, score, p, child)
                 weight_p = wc + jw[p]
-                if min(plain, recolored) + weight_p > state["best"]:
+                ahead = g, classes, score, p, child
+                slack = state["best"] - weight_p
+                if (look_ahead_plain(*ahead) > slack
+                        and look_ahead_recolored(*ahead) > slack):
                     expand(c_members + [p], weight_p, child, heaviest)
 
     try:

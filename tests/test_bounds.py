@@ -5,7 +5,7 @@ import pytest
 from mewclique import (ColoringWorkspace, VertexSet, WeightedGraph,
                        brute_force_mewc, coloring_scores, gen_random,
                        seq_and_bounds, vertex_weighted_upper_bound)
-from mewclique.bounds import look_ahead_bounds
+from mewclique.bounds import look_ahead_plain, look_ahead_recolored
 
 from conftest import SIX_VERTEX_WEIGHTS, induced_weighted, with_zero_weights
 
@@ -261,16 +261,17 @@ def test_look_ahead_sample(g6):
     # p = 4 sits in the last class; vw over its child {0, 1, 3, 5} is
     # 7, 13, 16, 11, and join(4) = 8 plus either bound is the optimum 35
     child = VertexSet([0, 1, 3, 5])
-    assert look_ahead_bounds(g6, SIX_COLORING, SIX_SCORES, 4, child) == (27, 27)
-    for p, bad in ((4, VertexSet([0, 2])),   # 2 is not a neighbor of 4
-                   (0, VertexSet([1]))):     # 1 is colored after 0
-        with pytest.raises(ValueError, match="child"):
-            look_ahead_bounds(g6, SIX_COLORING, SIX_SCORES, p, bad)
+    for bound in (look_ahead_plain, look_ahead_recolored):
+        assert bound(g6, SIX_COLORING, SIX_SCORES, 4, child) == 27
+        for p, bad in ((4, VertexSet([0, 2])),   # 2 is not a neighbor of 4
+                       (0, VertexSet([1]))):     # 1 is colored after 0
+            with pytest.raises(ValueError, match="child"):
+                bound(g6, SIX_COLORING, SIX_SCORES, p, bad)
 
 
 def test_look_ahead_soundness():
     # the solver's look-ahead for branch vertex p, from the plan of its
-    # node: join(p) plus either bound of look_ahead_bounds must dominate
+    # node: join(p) plus either look-ahead bound must dominate
     # every clique through p and the vertices colored before p, in the
     # style of criterion 4, and the recoloring must undercut the plain
     # class maxima on some
@@ -290,8 +291,9 @@ def test_look_ahead_soundness():
         before = 0  # vertices colored before p, i.e. later in the order
         for p in reversed(plan.order):
             child = VertexSet.from_mask(before & g.adj_bits[p])
-            plain, recolored = look_ahead_bounds(g, plan.classes, plan.score,
-                                                 p, child)
+            ahead = g, plan.classes, plan.score, p, child
+            plain = look_ahead_plain(*ahead)
+            recolored = look_ahead_recolored(*ahead)
             if join[p] + min(plain, recolored) < \
                     _best_weight_containing(g, p, before, join):
                 violations += 1

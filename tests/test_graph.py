@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mewclique import (VertexSet, WeightedGraph, coloring_scores, gen_random,
-                       is_clique, set_weight, solve)
+                       is_clique, parse_weighted_edge_list, set_weight, solve,
+                       write_weighted_edge_list)
 
 from conftest import SIX_EDGES
 
@@ -42,6 +43,11 @@ class TestVertexSet:
             VertexSet.from_mask(-1)
 
 
+# (n, edges to start from): list rows, then dict rows (n = 100 with a
+# few edges), so each refusal is checked in both row forms
+STARTS = [(3, []), (100, [(5, 9, 0), (40, 99, 7), (2, 64, 3)])]
+
+
 class TestConstruction:
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
@@ -57,29 +63,56 @@ class TestConstruction:
             gen_random(True, 0.5)
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            WeightedGraph(3, [(1, 1, 5)])
+        for n, before in STARTS:
+            with pytest.raises(ValueError, match=r"^self-loop on vertex 1$"):
+                WeightedGraph(n, before + [(1, 1, 5)])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            WeightedGraph(3, [(0, 3, 5)])
+        for n, before in STARTS:
+            with pytest.raises(ValueError,
+                               match=rf"^edge \(0, {n}\) out of range for n={n}$"):
+                WeightedGraph(n, before + [(0, n, 5)])
 
     def test_rejects_negative_edge_weight(self):
-        with pytest.raises(ValueError, match="negative weight"):
-            WeightedGraph(3, [(0, 1, -4)])
-        for w in (2.5, True):  # the search shifts weights; a float fails there
-            with pytest.raises(ValueError, match=r"non-int weight .* edge \(0, 2\)"):
-                WeightedGraph(3, [(0, 1, 1), (0, 2, w)])
+        for n, before in STARTS:
+            with pytest.raises(ValueError,
+                               match=r"^negative weight -4 on edge \(0, 2\)$"):
+                WeightedGraph(n, before + [(0, 2, -4)])
+            for w in (2.5, True):  # the search shifts weights; a float fails there
+                with pytest.raises(ValueError,
+                                   match=rf"^non-int weight {w} on edge \(0, 2\)$"):
+                    WeightedGraph(n, before + [(0, 2, w)])
 
     def test_rejects_duplicate_edge(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            WeightedGraph(3, [(0, 1, 1), (1, 0, 2)])
+        for n, before in STARTS:
+            for u, v in ((0, 1), (1, 0)):  # the same orientation and the other
+                with pytest.raises(ValueError,
+                                   match=rf"^duplicate edge \({u}, {v}\)$"):
+                    WeightedGraph(n, before + [(0, 1, 1), (u, v, 2)])
 
     def test_rejects_non_int_endpoint(self):
         # ints only: a bool would pass as 0/1, a float fail on indexing
-        for edge in ((True, 2, 1), (0.0, 1, 2), (0, 1.0, 2)):
-            with pytest.raises(ValueError, match=r"non-int endpoint in edge \("):
-                WeightedGraph(3, [(1, 2, 5), edge])
+        for n, before in STARTS:
+            for edge in ((True, 2, 1), (0.0, 1, 2), (0, 1.0, 2)):
+                with pytest.raises(ValueError,
+                                   match=r"non-int endpoint in edge \("):
+                    WeightedGraph(n, before + [(1, 2, 5), edge])
+
+    def test_masks_of_dict_rows_are_their_edges(self):
+        # a dict-row graph builds its masks once, from its rows' keys; so
+        # does one whose rows turn into lists mid-stream, at the switch
+        text = write_weighted_edge_list(gen_random(100, 0.5, 1, 200, seed=3))
+        switched = [(int(i) - 1, int(j) - 1, int(w)) for _, i, j, w
+                    in map(str.split, text.splitlines()[1:])]
+        for edges, row_type in ((STARTS[1][1], dict), (switched, list)):
+            masks = [0] * 100
+            for u, v, _ in edges:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            for g in (WeightedGraph(100, edges), parse_weighted_edge_list(
+                    write_weighted_edge_list(WeightedGraph(100, edges)))):
+                assert isinstance(g.weight_rows[0], row_type)
+                assert g.adj_bits == masks
 
     def test_removed_parameter_fails_loudly(self):
         # vertex weights are an argument of the functions that read them

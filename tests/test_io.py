@@ -277,6 +277,80 @@ class TestWeightedEdgeList:
                 parse_weighted_edge_list(text + extra)
             assert str(exc.value) == f"line {last}: {message}"
 
+    @staticmethod
+    def mutations(text):
+        """(label, text): the text, then the text with one line changed,
+        split, added or dropped"""
+        lines = text.split("\n")  # the p line, the edge lines, then ""
+        n = int(lines[0].split()[2])
+        mid = len(lines) // 2  # an edge line
+        _, i, j, w = lines[mid].split()
+        _, a, b, _ = lines[1].split()
+
+        def at(line):  # the text with its middle edge line replaced
+            return "\n".join(lines[:mid] + [line] + lines[mid + 1:])
+
+        return [("plain", text), ("bad token", at(f"e {i} {j} x")),
+                ("missing token", at(f"e {i} {j}")),
+                ("fifth token", at(f"e {i} {j} {w} 1")),
+                ("weight on a line of its own", at(f"e {i} {j}\n{w}")),
+                ("f for e", at(f"f {i} {j} {w}")),
+                ("leading blank", at(f" e {i} {j} {w}")),
+                ("tab after e", at(f"e\t{i} {j} {w}")),
+                ("tab between ints", at(f"e {i}\t{j} {w}")),
+                ("\\r line end", at(f"e {i} {j} {w}\r")),
+                ("trailing blank line", text + "\n"),
+                ("no final newline", text[:-1]),
+                ("out of range", at(f"e {i} {n + 1} {w}")),
+                ("self-loop", at(f"e {i} {i} {w}")),
+                ("negative weight", at(f"e {i} {j} -{w}")),
+                ("repeat", text + f"e {a} {b} 5\n"),
+                ("repeat reversed", text + f"e {b} {a} 5\n")]
+
+    @pytest.mark.parametrize("n,density,seed", [
+        (8, 0.5, 1), (13, 0.3, 2), (18, 0.7, 3),
+        (300, 0.01, 7)])  # neighbor-keyed weight rows
+    def test_line_walk_is_the_column_reads_reference(self, monkeypatch, n,
+                                                     density, seed):
+        # a comment line after the p line sends a text down the line walk:
+        # an equal graph, each row's keys in the same order, or the same
+        # error one line lower
+        walks = []
+        content_lines = mio._content_lines
+        monkeypatch.setattr(mio, "_content_lines", lambda *args: (
+            walks.append(args) or content_lines(*args)))
+
+        def outcome(text):
+            try:
+                g = parse_weighted_edge_list(text)
+            except ParseError as exc:
+                return exc.line, str(exc)
+            return g, [list(row) for row in g.weight_rows]
+
+        g = gen_random(n, density, 1, 10, seed=seed)
+        assert g.m > 2 and isinstance(g.weight_rows[0], dict) == (n == 300)
+        for label, text in self.mutations(write_weighted_edge_list(g)):
+            walks.clear()
+            got = outcome(text)
+            if label in ("plain", "no final newline", "tab between ints"):
+                assert got[0] == g and not walks, label  # the column read
+            line, ref = outcome(text.replace("\n", "\nc walk\n", 1))
+            if isinstance(line, int):
+                message = ref.removeprefix(f"line {line}: ")
+                ref = str(ParseError(message, line - 1))
+                line -= 1
+            assert got == (line, ref), label
+
+    def test_column_read_builds_under_the_tracer(self, monkeypatch):
+        # the benchmark's tracer times each build by replacing the
+        # module's WeightedGraph name: the column read must go through it
+        g = gen_random(300, 0.01, 1, 10, seed=7)
+        built = []
+        monkeypatch.setattr(mio, "WeightedGraph", lambda n, edges: (
+            built.append(n) or WeightedGraph(n, edges)))
+        assert parse_weighted_edge_list(write_weighted_edge_list(g)) == g
+        assert built == [300]
+
     @pytest.mark.parametrize("text,line", WEDGE_ERRORS,
                              ids=[text for text, _ in WEDGE_ERRORS])
     def test_errors(self, text, line):
